@@ -172,12 +172,12 @@ impl GeminiStrategy {
 
     /// Fast recovery from the memory tier (machine survived).
     pub fn recover_memory(&self) -> std::io::Result<Option<ModelState>> {
-        self.mem_store.latest_valid_full()
+        lowdiff::resume::latest_full(&self.mem_store)
     }
 
     /// Fallback recovery from durable storage (replica host lost).
     pub fn recover_durable(&self) -> std::io::Result<Option<ModelState>> {
-        self.engine.store().latest_valid_full()
+        lowdiff::resume::latest_full(self.engine.store())
     }
 }
 

@@ -23,6 +23,7 @@ use lowdiff::engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
     TierStack,
 };
+use lowdiff::resume::ResumePlan;
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::sparsify::TopK;
 use lowdiff_compress::{AuxView, Compressor};
@@ -219,7 +220,7 @@ impl NaiveDcStrategy {
     }
 
     /// Storage key for a Naïve-DC moments blob (the differential itself is
-    /// kept in the `diff-` space so [`CheckpointStore::diff_chain_from`]
+    /// kept in the `diff-` space so the resume planner's chain walk
     /// discovers it, but the grad is a *delta*, and the moments ride along
     /// as dense payloads).
     fn moments_key(iteration: u64) -> String {
@@ -229,10 +230,10 @@ impl NaiveDcStrategy {
     /// Recover: latest full checkpoint + parameter deltas (merged with the
     /// paper's parallel tree merge) + moments from the newest blob.
     pub fn recover(store: &CheckpointStore) -> std::io::Result<Option<(ModelState, usize)>> {
-        let Some(mut state) = store.latest_valid_full()? else {
+        let Some(plan) = ResumePlan::for_recovery(store)? else {
             return Ok(None);
         };
-        let chain = store.diff_chain_from(state.iteration)?;
+        let (mut state, chain) = (plan.full.state, plan.chain);
         let replayed = chain.len();
         if replayed > 0 {
             let deltas: Vec<_> = chain

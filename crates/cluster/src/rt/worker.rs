@@ -39,8 +39,7 @@ use lowdiff_util::crc32;
 use lowdiff_util::DetRng;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -269,13 +268,12 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<WorkerReport> {
     wait_for_full_world(&mut client, world_size)?;
 
     // Heartbeats ride a dedicated connection so a long barrier wait on
-    // the main channel never starves liveness.
-    let stop = Arc::new(AtomicBool::new(false));
+    // the main channel never starves liveness. Dropping `stop` ends them.
+    let (stop, stopped) = mpsc::channel::<()>();
     let hb = {
-        let stop = Arc::clone(&stop);
         let coord = cfg.coord.clone();
         let every = cfg.heartbeat_every;
-        thread::spawn(move || heartbeat_loop(&coord, rank, every, &stop))
+        thread::spawn(move || heartbeat_loop(&coord, rank, every, &stopped))
     };
 
     let result = train_loop(
@@ -289,7 +287,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<WorkerReport> {
         &mut client,
     );
 
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     let _ = hb.join();
     result
 }
@@ -315,15 +313,20 @@ fn wait_for_full_world(client: &mut CoordClient, world_size: u32) -> io::Result<
     }
 }
 
-fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stop: &AtomicBool) {
+/// Send a heartbeat every `every` until `stopped` disconnects. The wait
+/// between beats is the channel receive, so a stop lands at once instead
+/// of after the rest of the period.
+fn heartbeat_loop(coord: &str, rank: u32, every: Duration, stopped: &mpsc::Receiver<()>) {
     let Ok(mut client) = CoordClient::connect(coord, CONNECT_TIMEOUT) else {
         return;
     };
-    while !stop.load(Ordering::Relaxed) {
+    loop {
         if client.rpc(&Msg::Heartbeat { rank }).is_err() {
             return; // coordinator gone; the main channel will notice too
         }
-        thread::sleep(every);
+        if stopped.recv_timeout(every) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
     }
 }
 

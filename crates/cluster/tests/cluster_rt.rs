@@ -2,7 +2,7 @@
 //! death, barrier degradation, and global sealing — all against a real
 //! TCP coordinator, in-process workers.
 
-use lowdiff_cluster::rt::{CoordConfig, Coordinator};
+use lowdiff_cluster::rt::{run_worker, CoordConfig, Coordinator, WorkerConfig};
 use lowdiff_comm::wire::{CoordClient, Msg};
 use lowdiff_storage::{CheckpointStore, MemoryBackend};
 use std::sync::Arc;
@@ -278,4 +278,48 @@ fn wire_shutdown_stops_the_coordinator() {
     // The listener is gone (give the OS a beat to tear it down).
     std::thread::sleep(Duration::from_millis(100));
     assert!(CoordClient::connect(addr, Duration::from_millis(300)).is_err());
+}
+
+/// Stopping the heartbeat thread does not wait out its period: with a
+/// 30 s heartbeat, a short run still returns within a few seconds of its
+/// last iteration.
+#[test]
+fn run_worker_returns_without_waiting_out_the_heartbeat_period() {
+    let coord = Coordinator::start(
+        "127.0.0.1:0",
+        CoordConfig {
+            world_size: 1,
+            ..CoordConfig::default()
+        },
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("lowdiff-hb-join-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let start = Instant::now();
+    let report = run_worker(WorkerConfig {
+        coord: coord.addr().to_string(),
+        dir: dir.clone(),
+        name: "solo".into(),
+        rank_hint: Some(0),
+        dims: vec![4, 8, 2],
+        seed: 1,
+        data_seed: 2,
+        compress_ratio: Some(0.2),
+        iters: 4,
+        epoch_iters: 2,
+        resume: false,
+        heartbeat_every: Duration::from_secs(30),
+        barrier_timeout: Duration::from_secs(5),
+        step_delay: Duration::ZERO,
+    })
+    .unwrap();
+    let elapsed = start.elapsed();
+    coord.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(report.final_iteration, 4);
+    assert!(report.degraded.is_none(), "{report:?}");
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "run_worker took {elapsed:?}: the heartbeat join waited out its period"
+    );
 }

@@ -16,6 +16,7 @@
 //! stderr and a non-zero exit code.
 
 use lowdiff::recovery::{recover_serial, recover_sharded};
+use lowdiff::ResumePlan;
 use lowdiff_optim::Adam;
 use lowdiff_storage::{codec, CheckpointStore, DiskBackend};
 use std::io::Write;
@@ -138,16 +139,14 @@ fn cmd_list(dir: &str) {
             if valid { "ok" } else { "CORRUPT" }
         );
     }
-    if let Some(latest) = fulls.last() {
-        let chain = or_die("walk differential chain", store.diff_chain_from(*latest));
-        out!(
+    match or_die("plan recovery", ResumePlan::for_recovery(&store)) {
+        Some(plan) => out!(
             "recoverable to iteration {} (full@{} + {} differentials)",
-            latest + chain.len() as u64,
-            latest,
-            chain.len()
-        );
-    } else {
-        out!("no full checkpoint: nothing recoverable");
+            plan.resumed_iteration(),
+            plan.full_iteration(),
+            plan.replayed()
+        ),
+        None => out!("no valid full checkpoint: nothing recoverable"),
     }
 }
 
@@ -248,12 +247,10 @@ fn cmd_gc(dir: &str, keep_from: u64) {
 fn cmd_health(dir: &str) {
     let store = open(dir);
     let fulls = or_die("list full checkpoints", store.full_iterations());
-    let valid_fulls: Vec<u64> = fulls
+    let corrupt_fulls = fulls
         .iter()
-        .copied()
-        .filter(|it| store.load_full(*it).is_ok())
-        .collect();
-    let corrupt_fulls = fulls.len() - valid_fulls.len();
+        .filter(|it| store.load_full(**it).is_err())
+        .count();
     let diffs = or_die("list differential batches", store.diff_keys());
     let corrupt_diffs = diffs
         .iter()
@@ -274,18 +271,18 @@ fn cmd_health(dir: &str) {
         corrupt_diffs
     );
 
-    let Some(&anchor) = valid_fulls.last() else {
+    let Some(plan) = or_die("plan recovery", ResumePlan::for_recovery(&store)) else {
         out!("UNHEALTHY: no valid full checkpoint — nothing recoverable");
         exit(1);
     };
-    let chain = or_die("walk differential chain", store.diff_chain_from(anchor));
-    let reachable = anchor + chain.len() as u64;
+    let reachable = plan.resumed_iteration();
     // Diffs newer than the reachable frontier are stranded behind a gap
     // (a dropped batch or torn write broke the chain there).
     let stranded = diffs.iter().filter(|dk| dk.start > reachable).count();
     out!(
-        "recoverable to iteration {reachable} (full@{anchor} + {} differentials)",
-        chain.len()
+        "recoverable to iteration {reachable} (full@{} + {} differentials)",
+        plan.full_iteration(),
+        plan.replayed()
     );
     if stranded > 0 {
         out!(
@@ -377,61 +374,61 @@ fn cmd_health(dir: &str) {
     out!("healthy");
 }
 
-/// What `Trainer::resume` would restore from this directory: checkpoint
-/// format version, which auxiliary sections (EF residual, compressor
-/// identity, data-RNG cursor) the anchor full carries, and how far the
-/// differential chain can fast-forward. Exit code 1 when the only resume
-/// possible is lossy (a v1 or aux-less blob).
+/// What `Trainer::resume` would restore from this directory, planned by
+/// the same resume planner under the configuration the anchor records:
+/// checkpoint format version, which auxiliary sections the anchor full
+/// carries, whether the differential chain is replayed, the iteration
+/// training resumes at, and why the resume is lossy if it is. Exit code 1
+/// when the only resume possible is lossy (a v1 or aux-less blob).
 fn cmd_resume_info(dir: &str) {
     let store = open(dir);
-    let fc = match or_die(
-        "read latest full checkpoint",
-        store.latest_valid_full_checkpoint(),
-    ) {
-        Some(fc) => fc,
-        None => {
-            eprintln!("no valid full checkpoint in {dir}: resume would cold-start");
-            exit(1);
-        }
+    let Some((plan, cfg)) = or_die("plan resume", ResumePlan::for_recorded(&store)) else {
+        eprintln!("no valid full checkpoint in {dir}: resume would cold-start");
+        exit(1);
     };
-    let anchor = fc.state.iteration;
+    let fc = &plan.full;
+    let anchor = plan.full_iteration();
     out!(
         "anchor: full@{anchor} (format v{}, {} params)",
         fc.version,
         fc.state.num_params()
     );
-    let opt = |present: bool| if present { "present" } else { "absent" };
-    out!(
-        "aux: residual={} compressor={} rng-cursor={}",
-        opt(fc.aux.residual.is_some()),
-        match fc.aux.compressor {
-            Some(c) => format!("{c:?}"),
-            None => "absent".into(),
-        },
-        opt(fc.aux.rng.is_some()),
-    );
-    let chain = or_die("walk differential chain", store.diff_chain_from(anchor));
-    if fc.aux.residual.is_some() {
+    print_aux(&fc.aux);
+    if plan.replay {
         out!(
-            "error-feedback run: resume anchors at full@{anchor} \
-             ({} differential(s) past it are superseded by the residual)",
-            chain.len()
+            "replay: {} differential(s) fast-forward past full@{anchor}",
+            plan.replayed()
         );
     } else {
-        out!(
-            "fast-forward: {} differential(s) replayable to iteration {}",
-            chain.len(),
-            anchor + chain.len() as u64
-        );
+        out!("replay: none (the error-feedback residual anchors the resume at full@{anchor})");
     }
-    if fc.lossy {
-        out!(
-            "LOSSY: blob carries no auxiliary state — an error-feedback \
-             run resumed from it may silently diverge"
-        );
+    out!("resume at iteration {}", plan.resumed_iteration());
+    let reasons = plan.lossy_reasons(&cfg);
+    for reason in &reasons {
+        out!("LOSSY: {reason}; the resumed run may diverge from the uninterrupted one");
+    }
+    if !reasons.is_empty() {
         exit(1);
     }
     out!("resume is bit-exact for the recorded configuration");
+}
+
+/// One line naming the auxiliary sections a full checkpoint carries.
+fn print_aux(aux: &lowdiff::AuxState) {
+    let opt = |present: bool| if present { "present" } else { "absent" };
+    out!(
+        "aux: residual={} compressor={} rng-cursor={} quant-policy={}",
+        opt(aux.residual.is_some()),
+        match aux.compressor {
+            Some(c) => format!("{c:?}"),
+            None => "absent".into(),
+        },
+        opt(aux.rng.is_some()),
+        match aux.quant {
+            Some(q) => format!("{}bit (streak {})", q.bits, q.streak),
+            None => "absent".into(),
+        },
+    );
 }
 
 /// Compact run-length display of v3 chunk widths: `8×12 4×3` instead of
@@ -517,20 +514,7 @@ fn cmd_inspect(path: &str) {
                 fc.state.num_params(),
                 fmt_bytes(data.len())
             );
-            let opt = |present: bool| if present { "present" } else { "absent" };
-            out!(
-                "aux: residual={} compressor={} rng-cursor={} quant-policy={}",
-                opt(fc.aux.residual.is_some()),
-                match fc.aux.compressor {
-                    Some(c) => format!("{c:?}"),
-                    None => "absent".into(),
-                },
-                opt(fc.aux.rng.is_some()),
-                match fc.aux.quant {
-                    Some(q) => format!("{}bit (streak {})", q.bits, q.streak),
-                    None => "absent".into(),
-                },
-            );
+            print_aux(&fc.aux);
         }
         _ => {
             eprintln!("{path}: not a LowDiff blob (unknown magic)");

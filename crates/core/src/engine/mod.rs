@@ -770,3 +770,61 @@ fn worker_loop(
     policy.flush(&mut cx);
     metrics.note_depth(0);
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lowdiff_compress::CompressedGrad;
+    use lowdiff_storage::MemoryBackend;
+
+    /// `(iteration, handle)` of every diff the worker received.
+    type Seen = Arc<Mutex<Vec<(u64, Arc<CompressedGrad>)>>>;
+
+    struct Recorder(Seen);
+
+    impl CheckpointPolicy for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn process(&mut self, job: Job, _cx: &mut EngineCtx<'_>) {
+            if let Job::Diff { iteration, grad } = job {
+                self.0.lock().push((iteration, grad));
+            }
+        }
+    }
+
+    /// The job queue is §4.1's reusing queue: diff handles arrive at the
+    /// checkpointing thread in submit order, and each is the very
+    /// allocation the training thread submitted (zero-copy), even when a
+    /// small queue makes the trainer block on backpressure.
+    #[test]
+    fn diff_handles_cross_the_queue_fifo_and_zero_copy() {
+        let seen: Seen = Arc::default();
+        let mut engine = CheckpointEngine::spawn(
+            Arc::new(CheckpointStore::new(Arc::new(MemoryBackend::new()))),
+            Recorder(Arc::clone(&seen)),
+            EngineConfig {
+                queue_capacity: 2,
+                export_health: false,
+                ..EngineConfig::default()
+            },
+        );
+        let sent: Vec<Arc<CompressedGrad>> = (0..32)
+            .map(|i| Arc::new(CompressedGrad::Dense(vec![i as f32; 1024])))
+            .collect();
+        for (i, grad) in sent.iter().enumerate() {
+            let job = Job::Diff {
+                iteration: i as u64,
+                grad: Arc::clone(grad),
+            };
+            assert!(engine.submit(Instant::now(), job).delivered);
+        }
+        engine.flush();
+        let seen = seen.lock();
+        assert_eq!(seen.len(), sent.len());
+        for (i, ((iteration, got), want)) in seen.iter().zip(&sent).enumerate() {
+            assert_eq!(*iteration, i as u64, "FIFO order");
+            assert!(Arc::ptr_eq(got, want), "diff {i} was copied, not moved");
+        }
+    }
+}

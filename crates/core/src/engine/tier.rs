@@ -23,7 +23,8 @@
 //!   re-replicated on the next interval (re-targeted to the next alive
 //!   ring peer when the original stays down).
 //!
-//! Recovery priority is the stack order: [`crate::trainer::Trainer::resume_tiered`]
+//! Recovery priority is the stack order: the resume planner
+//! ([`crate::resume`], behind [`crate::trainer::Trainer::resume_tiered`])
 //! walks sources front-to-back and anchors on the first tier holding a
 //! valid full checkpoint, falling back down the stack.
 

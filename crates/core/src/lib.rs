@@ -6,8 +6,8 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | Reusing Queue + zero-copy IPC (§4.1) | [`queue::ReusingQueue`] |
-//! | Algorithm 1 (training/checkpointing/recovery) | [`strategy`], [`lowdiff::LowDiffStrategy`], [`recovery`] |
+//! | Reusing Queue + zero-copy IPC (§4.1) | the [`engine::CheckpointEngine`] bounded job queue (`bounded(cfg.queue_capacity)`) carrying [`engine::Job::Diff`] `{ grad: Arc<CompressedGrad> }` |
+//! | Algorithm 1 (training/checkpointing/recovery) | [`strategy`], [`lowdiff::LowDiffStrategy`], [`resume`], [`recovery`] |
 //! | Batched gradient writing, steps ①②③ (§4.2) | [`batched::BatchedWriter`] |
 //! | Optimal configuration, Eq. (3)–(5) (§4.3) | [`config`] |
 //! | Parallel recovery (§6, Fig. "Parallel Fast Recovery") | [`recovery`] |
@@ -25,8 +25,8 @@ pub mod lowdiff;
 pub mod lowdiff_plus;
 pub mod peer;
 pub mod pipeline;
-pub mod queue;
 pub mod recovery;
+pub mod resume;
 pub mod shard;
 pub mod strategy;
 pub mod trainer;
@@ -43,10 +43,8 @@ pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};
 pub use lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 pub use peer::PeerReplicateStrategy;
-pub use queue::ReusingQueue;
 pub use recovery::{recover_serial, recover_sharded, RecoveryReport};
+pub use resume::{RecoverySource, ResumePlan};
 pub use shard::ShardedStrategy;
 pub use strategy::{CheckpointStrategy, NoCheckpoint, StrategyStats, TierStats};
-pub use trainer::{
-    RecoverySource, ResumeOpts, ResumeReport, Trainer, TrainerConfig, TrainerReport,
-};
+pub use trainer::{ResumeOpts, ResumeReport, Trainer, TrainerConfig, TrainerReport};

@@ -244,7 +244,7 @@ impl LowDiffPlusStrategy {
     /// Hardware-failure recovery: host memory is gone; reload the newest
     /// valid persisted full checkpoint.
     pub fn recover_hardware(store: &CheckpointStore) -> std::io::Result<Option<ModelState>> {
-        store.latest_valid_full()
+        crate::resume::latest_full(store)
     }
 
     /// Iteration the in-memory replica has reached (for tests/metrics).

@@ -16,15 +16,13 @@
 //! holds it); the durable tier trails asynchronously, so a storage stall
 //! never widens the recovery window. A lost rank is rebuilt from a
 //! surviving peer's replicas with **no storage round-trip** —
-//! [`recovery_sources`] hands [`crate::trainer::Trainer::resume_tiered`]
-//! the peer stores first and durable storage as the last resort.
+//! [`crate::engine::peer_recovery_stores`] lists the peer stores to hand
+//! [`crate::trainer::Trainer::resume_tiered`], with durable storage
+//! appended as the last resort.
 
-use crate::engine::{
-    peer_recovery_stores, AckMode, CowTicket, DurableTier, PeerTier, RecoveryTier, TierStack,
-};
+use crate::engine::{AckMode, CowTicket, DurableTier, PeerTier, RecoveryTier, TierStack};
 use crate::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use crate::strategy::{CheckpointStrategy, StrategyStats};
-use crate::trainer::RecoverySource;
 use lowdiff_comm::ReplicaNet;
 use lowdiff_compress::{AuxView, CompressedGrad};
 use lowdiff_optim::ModelState;
@@ -106,23 +104,4 @@ impl CheckpointStrategy for PeerReplicateStrategy {
     fn stats(&self) -> StrategyStats {
         self.inner.stats()
     }
-}
-
-/// Tier-priority recovery sources for rebuilding `lost`: each surviving
-/// peer's replica store first (no storage round-trip), durable storage
-/// last. Feed to [`crate::trainer::Trainer::resume_tiered`].
-pub fn recovery_sources(
-    net: &Arc<ReplicaNet>,
-    lost: usize,
-    durable: Arc<CheckpointStore>,
-) -> Vec<RecoverySource> {
-    let mut sources: Vec<RecoverySource> = peer_recovery_stores(net, lost)
-        .into_iter()
-        .map(|(tier, store)| RecoverySource { tier, store })
-        .collect();
-    sources.push(RecoverySource {
-        tier: "durable".to_string(),
-        store: durable,
-    });
-    sources
 }

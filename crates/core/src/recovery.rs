@@ -1,7 +1,9 @@
 //! Recovery: Algorithm 1's recovery process, plus the *parallel recovery
 //! module* of §6.
 //!
-//! Three paths:
+//! Three paths. The two exact ones take their anchor and chain from the
+//! resume planner ([`ResumePlan::for_recovery`]) and differ only in the
+//! replay kernel:
 //!
 //! * [`recover_serial`] — the paper's Algorithm 1 lines 16–24: load the
 //!   latest valid full checkpoint, then replay each differential (reused
@@ -15,6 +17,7 @@
 //!   merge is associative, so n merges collapse to ⌈log₂ n⌉ parallel depth.
 //!   Used by the Naïve-DC baseline and by LowDiff's accumulate mode.
 
+use crate::resume::{self, ResumePlan};
 use lowdiff_compress::SparseGrad;
 use lowdiff_optim::{Adam, ModelState};
 
@@ -45,16 +48,13 @@ pub fn recover_serial(
     adam: &Adam,
 ) -> io::Result<Option<(ModelState, RecoveryReport)>> {
     let start = Instant::now();
-    let Some(mut state) = store.latest_valid_full()? else {
+    let Some(plan) = ResumePlan::for_recovery(store)? else {
         return Ok(None);
     };
+    let mut state = plan.full.state;
     let full_iter = state.iteration;
-    let chain = store.diff_chain_from(full_iter)?;
-    let replayed = chain.len();
-    for entry in &chain {
-        let dense = entry.grad.to_dense(); // Comp⁻¹ (line 21)
-        state.apply_gradient(adam, &dense); // M_{j+1} = M_j + Adam(G_j)
-    }
+    let replayed = plan.chain.len();
+    resume::replay(&mut state, adam, &plan.chain);
     let report = RecoveryReport {
         full_iteration: full_iter,
         replayed,
@@ -77,11 +77,11 @@ pub fn recover_sharded(
 ) -> io::Result<Option<(ModelState, RecoveryReport)>> {
     assert!(shards >= 1);
     let start = Instant::now();
-    let Some(mut state) = store.latest_valid_full()? else {
+    let Some(plan) = ResumePlan::for_recovery(store)? else {
         return Ok(None);
     };
+    let (mut state, chain) = (plan.full.state, plan.chain);
     let full_iter = state.iteration;
-    let chain = store.diff_chain_from(full_iter)?;
     let replayed = chain.len();
     let psi = state.params.len();
     let base_t = state.opt.t;
@@ -201,19 +201,6 @@ pub fn merge_deltas_parallel(deltas: &[SparseGrad]) -> Option<SparseGrad> {
             .reduce_with(|a, b| a.merge(&b))
             .unwrap_or_else(|| SparseGrad::new(dense_len, Vec::new(), Vec::new())),
     )
-}
-
-/// Delta-style recovery: apply the tree-merged combined delta to the full
-/// checkpoint's parameters in one shot (Equation (2) with additive C^D).
-/// Optimizer moments are untouched — matching the Naïve-DC baseline's
-/// params-only differentials.
-pub fn recover_with_deltas(full: &ModelState, deltas: &[SparseGrad]) -> ModelState {
-    let mut state = full.clone();
-    if let Some(merged) = merge_deltas_parallel(deltas) {
-        merged.add_into(&mut state.params);
-        state.iteration += deltas.len() as u64;
-    }
-    state
 }
 
 /// Count pairwise-merge *depth* for n differentials: the paper's claim that
@@ -372,21 +359,6 @@ mod tests {
                 "index {i}: tree {a} vs seq {b}"
             );
         }
-    }
-
-    #[test]
-    fn delta_recovery_applies_sum() {
-        let full = ModelState::new(vec![1.0; 10]);
-        let deltas = vec![
-            SparseGrad::new(10, vec![0, 5], vec![1.0, 2.0]),
-            SparseGrad::new(10, vec![5, 9], vec![3.0, -1.0]),
-        ];
-        let rec = recover_with_deltas(&full, &deltas);
-        assert_eq!(rec.params[0], 2.0);
-        assert_eq!(rec.params[5], 6.0);
-        assert_eq!(rec.params[9], 0.0);
-        assert_eq!(rec.iteration, 2);
-        assert_eq!(rec.opt, full.opt, "delta recovery must not touch moments");
     }
 
     #[test]

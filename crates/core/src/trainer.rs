@@ -32,6 +32,7 @@
 //!   zeroes the residual, which is exactly the divergence `resume` fixes.
 
 use crate::engine::{CowRegion, CowTicket};
+use crate::resume::{RecoverySource, ResumePlan};
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{
     AdaptiveQuant, AuxView, CompressedGrad, Compressor, CompressorCfg, ErrorFeedback, TopK,
@@ -102,9 +103,10 @@ impl TrainerConfig {
         }
     }
 
-    /// True when some gradient compressor is configured (Top-K or quant).
-    fn compresses(&self) -> bool {
-        self.compress_ratio.is_some() || self.quant_bits.is_some()
+    /// True when error feedback is in effect: requested, and some
+    /// gradient compressor (Top-K or quant) is configured.
+    pub(crate) fn ef_on(&self) -> bool {
+        self.error_feedback && (self.compress_ratio.is_some() || self.quant_bits.is_some())
     }
 }
 
@@ -160,19 +162,9 @@ pub struct ResumeReport {
     /// training continues but may diverge from the uninterrupted run.
     pub lossy: bool,
     /// Which recovery source anchored the resume (`"peer:2"`,
-    /// `"durable"`, …). `None` for the single-store entry points.
+    /// `"durable"`, …). `None` for [`Trainer::resume`] and
+    /// [`Trainer::resume_from_parts`].
     pub source: Option<String>,
-}
-
-/// One level of a tier-priority recovery walk: a label for reporting and
-/// a store view of that tier's checkpoints (a peer's replica mailbox via
-/// [`crate::engine::PeerReplicaBackend`], Gemini's memory store, or plain
-/// durable storage).
-#[derive(Clone)]
-pub struct RecoverySource {
-    /// Tier label surfaced in [`ResumeReport::source`].
-    pub tier: String,
-    pub store: Arc<CheckpointStore>,
 }
 
 /// The trainer's handle on an in-flight incremental (copy-on-write)
@@ -292,7 +284,8 @@ impl<S: CheckpointStrategy> Trainer<S> {
     /// residual, data-RNG cursor. Returns `Ok(None)` when the store holds
     /// no full checkpoint (cold start). Fails with
     /// [`io::ErrorKind::InvalidInput`] when the checkpoint was produced
-    /// under a different compressor than `cfg` configures.
+    /// under a different compressor than `cfg` configures. The decisions
+    /// are [`ResumePlan`]'s; see [`crate::resume`].
     pub fn resume(
         net: Network,
         adam: Adam,
@@ -300,60 +293,18 @@ impl<S: CheckpointStrategy> Trainer<S> {
         cfg: TrainerConfig,
         store: &CheckpointStore,
     ) -> io::Result<Option<(Self, ResumeReport)>> {
-        Self::resume_with_opts(net, adam, strategy, cfg, store, ResumeOpts::default())
-    }
-
-    /// [`Trainer::resume`] with explicit [`ResumeOpts`].
-    pub fn resume_with_opts(
-        net: Network,
-        adam: Adam,
-        strategy: S,
-        cfg: TrainerConfig,
-        store: &CheckpointStore,
-        opts: ResumeOpts,
-    ) -> io::Result<Option<(Self, ResumeReport)>> {
-        // A crash between the striped data fan-out and the manifest seal
-        // leaves an unsealed data object behind: invisible to recovery,
-        // but garbage — sweep it like the backend sweeps `.tmp-` files.
-        store.sweep_unsealed()?;
-        let Some(fc) = store.latest_valid_full_checkpoint()? else {
-            return Ok(None);
-        };
-        Self::resume_from(net, adam, strategy, cfg, fc, store, opts).map(Some)
-    }
-
-    /// Resume from an already-decoded [`FullCheckpoint`] (the store is
-    /// still needed for the differential chain).
-    pub fn resume_from(
-        net: Network,
-        adam: Adam,
-        strategy: S,
-        cfg: TrainerConfig,
-        fc: FullCheckpoint,
-        store: &CheckpointStore,
-        opts: ResumeOpts,
-    ) -> io::Result<(Self, ResumeReport)> {
-        // Fetch the chain only when the replay path below will consume it
-        // (same gate as `resume_from_parts`), so anchor-only resumes never
-        // touch the differential objects.
-        let ef_on = cfg.error_feedback && cfg.compresses();
-        let will_replay = opts.fast_forward && !(ef_on && fc.aux.residual.is_some());
-        let chain = if will_replay {
-            store.diff_chain_from(fc.state.iteration)?
-        } else {
-            Vec::new()
-        };
-        Self::resume_from_parts(net, adam, strategy, cfg, fc, chain, opts)
+        let plan = ResumePlan::for_resume([(None, store)], &cfg, ResumeOpts::default())?;
+        plan.map(|p| Self::from_plan(net, adam, strategy, cfg, p))
+            .transpose()
     }
 
     /// Resume from an already-decoded [`FullCheckpoint`] plus an
-    /// already-fetched differential chain — the store-free core of
-    /// [`Trainer::resume_from`]. Cluster workers use this directly: they
+    /// already-fetched differential chain. Cluster workers use this: they
     /// stitch the per-rank shard checkpoints and diff chains into global
     /// parts first ([`lowdiff_storage::shard`]) and hand the result here.
     /// `chain` must be the diffs *after* `fc`'s iteration, in order; it is
-    /// ignored whenever the replay gate (fast-forward off, or an
-    /// error-feedback residual anchoring the resume) disables replay.
+    /// ignored whenever the replay gate ([`crate::resume::replays`])
+    /// disables replay.
     pub fn resume_from_parts(
         net: Network,
         adam: Adam,
@@ -363,112 +314,18 @@ impl<S: CheckpointStrategy> Trainer<S> {
         chain: Vec<DiffEntry>,
         opts: ResumeOpts,
     ) -> io::Result<(Self, ResumeReport)> {
-        let expected = cfg.compressor_cfg();
-        if let Some(stored) = fc.aux.compressor {
-            if stored != expected {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "checkpoint compressor {stored:?} does not match \
-                         configured {expected:?}: the stored residual and \
-                         differential chain would not compose"
-                    ),
-                ));
-            }
-        }
-        let FullCheckpoint {
-            state: mut model,
-            aux,
-            lossy: blob_lossy,
-            ..
-        } = fc;
-        let ef_on = cfg.error_feedback && cfg.compresses();
-        let has_residual = aux.residual.is_some();
-        let full_iteration = model.iteration;
-
-        // Fast-forward by gradient replay — except under error feedback
-        // with a stored residual: the residual belongs to the full's
-        // iteration boundary, and replaying diffs would advance the
-        // parameters past it. Anchoring at the full is the bit-exact point.
-        // Quantized entries also yield their emitted `(scale, bits)` pairs,
-        // which fast-forward the adaptive precision policy through exactly
-        // the transitions the crashed run took.
-        let mut replayed = 0usize;
-        let mut observed: Vec<(f32, u8)> = Vec::new();
-        if opts.fast_forward && !(ef_on && has_residual) {
-            replayed = chain.len();
-            for entry in &chain {
-                if let CompressedGrad::Quant(q) = &entry.grad {
-                    observed.push((q.scale, q.bits));
-                }
-                let dense = entry.grad.to_dense();
-                model.apply_gradient(&adam, &dense);
-            }
-        }
-
-        let quant_policy_lossy =
-            cfg.quant_bits.is_some() && cfg.adaptive_quant && aux.quant.is_none();
-        let lossy = blob_lossy
-            || (ef_on && !has_residual)
-            || (has_residual && !ef_on)
-            || quant_policy_lossy;
-
-        // Data cursor: the stored state is positioned for the full's next
-        // draw; each replayed diff consumed one more. Without a stored
-        // cursor, re-derive from the seed (`with_state` below does it).
-        let restored_rng = aux.rng.map(|words| {
-            let mut r = DetRng::from_state(words);
-            for _ in 0..replayed {
-                r.next_u64();
-            }
-            r
-        });
-
-        let mut tr = Self::with_state(net, adam, strategy, cfg, model);
-        if let Some(r) = restored_rng {
-            tr.data_rng = r;
-        }
-        if ef_on && has_residual {
-            if let Some(res) = &aux.residual {
-                match &mut tr.comp {
-                    Comp::Ef(c) => c.set_residual(res),
-                    Comp::QuantEf(c) => c.set_residual(res),
-                    _ => {}
-                }
-            }
-        }
-        // Re-enter the adaptive precision state machine exactly: restore
-        // the snapshot taken at the full, then replay the transitions the
-        // fast-forwarded chain entries caused.
-        if let Some(policy) = match &mut tr.comp {
-            Comp::Quant(q) => Some(q),
-            Comp::QuantEf(c) => Some(c.inner_mut()),
-            _ => None,
-        } {
-            if let Some(ps) = aux.quant {
-                policy.restore_state(ps);
-            }
-            for &(scale, bits) in &observed {
-                policy.observe(scale, bits);
-            }
-        }
-        let report = ResumeReport {
-            resumed_iteration: tr.state.iteration,
-            full_iteration,
-            replayed,
-            lossy,
-            source: None,
-        };
-        Ok((tr, report))
+        let plan = ResumePlan::from_parts(fc, chain, &cfg, opts);
+        Self::from_plan(net, adam, strategy, cfg, plan)
     }
 
-    /// Tier-priority resume: walk `sources` front-to-back and anchor on
-    /// the **first** tier holding a valid full checkpoint — peers' replica
-    /// stores before durable storage rebuild a lost rank with no storage
-    /// round-trip (Checkmate), Gemini's memory store before durable skips
-    /// the slow tier when the machine survived. The differential chain is
-    /// replayed from the same source that held the full, so a resume never
-    /// mixes tiers.
+    /// Tier-priority resume, the general entry point: walk `sources`
+    /// front-to-back and anchor on the **first** tier holding a valid full
+    /// checkpoint — peers' replica stores before durable storage rebuild a
+    /// lost rank with no storage round-trip (Checkmate), Gemini's memory
+    /// store before durable skips the slow tier when the machine survived.
+    /// The differential chain is replayed from the same source that held
+    /// the full, so a resume never mixes tiers. A single store with
+    /// non-default [`ResumeOpts`] is a one-element `sources`.
     ///
     /// A source that errors (dead peer mid-walk, unreadable backend) is
     /// skipped — recovery keeps falling down the stack. Only when *no*
@@ -482,40 +339,48 @@ impl<S: CheckpointStrategy> Trainer<S> {
         sources: &[RecoverySource],
         opts: ResumeOpts,
     ) -> io::Result<Option<(Self, ResumeReport)>> {
-        let mut net = Some(net);
-        let mut strategy = Some(strategy);
-        let mut first_err: Option<io::Error> = None;
-        for src in sources {
-            let fc = src
-                .store
-                .sweep_unsealed()
-                .and_then(|_| src.store.latest_valid_full_checkpoint());
-            match fc {
-                Ok(Some(fc)) => {
-                    let (tr, mut report) = Self::resume_from(
-                        net.take().expect("sources walked once"),
-                        adam,
-                        strategy.take().expect("sources walked once"),
-                        cfg.clone(),
-                        fc,
-                        &src.store,
-                        opts,
-                    )?;
-                    report.source = Some(src.tier.clone());
-                    return Ok(Some((tr, report)));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
+        let walk = sources.iter().map(|s| (Some(s.tier.as_str()), &*s.store));
+        let plan = ResumePlan::for_resume(walk, &cfg, opts)?;
+        plan.map(|p| Self::from_plan(net, adam, strategy, cfg, p))
+            .transpose()
+    }
+
+    /// Apply a plan and install what it restored: the data cursor, the
+    /// error-feedback residual, and the adaptive precision policy (the
+    /// snapshot taken at the full, then the transitions the replayed
+    /// entries caused).
+    fn from_plan(
+        net: Network,
+        adam: Adam,
+        strategy: S,
+        cfg: TrainerConfig,
+        plan: ResumePlan,
+    ) -> io::Result<(Self, ResumeReport)> {
+        let r = plan.apply(&cfg, &adam)?;
+        let mut tr = Self::with_state(net, adam, strategy, cfg, r.state);
+        if let Some(rng) = r.rng {
+            tr.data_rng = rng;
+        }
+        if let Some(res) = &r.residual {
+            match &mut tr.comp {
+                Comp::Ef(c) => c.set_residual(res),
+                Comp::QuantEf(c) => c.set_residual(res),
+                _ => {}
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(None),
+        if let Some(policy) = match &mut tr.comp {
+            Comp::Quant(q) => Some(q),
+            Comp::QuantEf(c) => Some(c.inner_mut()),
+            _ => None,
+        } {
+            if let Some(ps) = r.quant {
+                policy.restore_state(ps);
+            }
+            for &(scale, bits) in &r.observed {
+                policy.observe(scale, bits);
+            }
         }
+        Ok((tr, r.report))
     }
 
     pub fn state(&self) -> &ModelState {

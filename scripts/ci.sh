@@ -23,7 +23,11 @@
 #                            final state bit-identical to an unkilled run.
 #                            Hard-capped by `timeout` so a protocol hang
 #                            can never wedge the gate.
-# 8. bench --smoke         — both benchmark binaries complete on a tiny
+# 8. ldbench tests         — the benchmark package (its own workspace,
+#                            path deps on the crates) builds and passes
+#                            its tests, so deleting an API the benchmark
+#                            calls fails here instead of in a bench run
+# 9. bench --smoke         — both benchmark binaries complete on a tiny
 #                            configuration (no JSON written); the e2e
 #                            bench runs four times — 1 and 4 persist
 #                            stripes (blocking snapshots), then with
@@ -70,6 +74,9 @@ echo "== cluster smoke =="
 # spawn coordinator + 3 workers, checkpoint, kill rank 1, resume, assert
 # the stitched shard state is bit-identical to the uninterrupted run.
 timeout 300 cargo test -q -p lowdiff-cluster --test cluster_e2e
+
+echo "== ldbench tests =="
+cargo test --release --manifest-path ldbench/Cargo.toml
 
 echo "== bench smoke =="
 cargo build --release -q -p lowdiff-bench --features count-allocs \
