@@ -40,22 +40,8 @@ impl CheckpointPolicy for CheckFreqPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(snap) => {
-                cx.persist_full(&self.tiers, &snap.state, &snap.aux(), &FullOpts::durable());
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
-                // Incremental capture: sweep cold chunks, seal, persist the
-                // finished frame (byte-identical to the blocking path).
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        &self.tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &FullOpts::durable(),
-                    );
-                }
-                cx.release_ticket(ticket);
+            Job::Full(ticket) => {
+                cx.persist_capture(&self.tiers, ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "checkfreq submits full snapshots"),
         }
@@ -116,8 +102,8 @@ impl CheckpointStrategy for CheckFreqStrategy {
         "checkfreq"
     }
 
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
+    fn prime(&mut self, _state: &ModelState, _aux: &AuxView<'_>) {
+        self.engine.open_session();
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
@@ -125,10 +111,11 @@ impl CheckpointStrategy for CheckFreqStrategy {
             return Secs::ZERO;
         }
         let t0 = Instant::now();
-        // Snapshot: blocking copy (the GPU→CPU `snapshot()` op) into a
-        // recycled engine slot, then enqueue for persist; blocks when the
-        // pipeline is full — the CheckFreq stall at high frequency. A dead
-        // persist thread degrades the run instead of aborting training.
+        // Snapshot: the GPU→CPU `snapshot()` op into a recycled engine
+        // frame (copied now, or deferred inside a capture session), then
+        // enqueue for persist; blocks when the pipeline is full — the
+        // CheckFreq stall at high frequency. A dead persist thread degrades
+        // the run instead of aborting training.
         self.engine.submit_full(t0, state, aux).stall
     }
 

@@ -44,33 +44,16 @@ impl CheckpointPolicy for GeminiPolicy {
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
         match job {
-            Job::Full(snap) => {
+            Job::Full(ticket) => {
                 // Memory-tier copy (peer CPU RAM over the network in the
                 // real system); aligned iterations also ride the durable
-                // tier, written from the same encode.
-                let tiers = if snap.state.iteration.is_multiple_of(self.persist_every) {
-                    &self.both
-                } else {
-                    &self.mem_only
-                };
-                cx.persist_full(tiers, &snap.state, &snap.aux(), &FullOpts::durable());
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
+                // tier, written from the same frame.
                 let tiers = if ticket.iteration().is_multiple_of(self.persist_every) {
                     &self.both
                 } else {
                     &self.mem_only
                 };
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &FullOpts::durable(),
-                    );
-                }
-                cx.release_ticket(ticket);
+                cx.persist_capture(tiers, ticket, &FullOpts::durable());
             }
             _ => debug_assert!(false, "gemini submits full snapshots"),
         }
@@ -186,8 +169,8 @@ impl CheckpointStrategy for GeminiStrategy {
         "gemini"
     }
 
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
+    fn prime(&mut self, _state: &ModelState, _aux: &AuxView<'_>) {
+        self.engine.open_session();
     }
 
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {

@@ -20,8 +20,7 @@
 //! restores the moments from the newest blob (exact).
 
 use lowdiff::engine::{
-    CheckpointEngine, CheckpointPolicy, CowTicket, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, EngineConfig, EngineCtx, FullOpts, Job, TierStack,
 };
 use lowdiff::resume::ResumePlan;
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
@@ -43,7 +42,11 @@ struct NaiveDcPolicy {
     /// Full-checkpoint interval (iterations).
     full_every: u64,
     rho: f64,
-    prev_params: Option<Vec<f32>>,
+    /// The previous interval's parameters, as their LE wire bytes (the
+    /// delta's parent), reused across intervals.
+    prev_params: Option<Vec<u8>>,
+    /// Reused buffer for the dense moments blob.
+    moments: Vec<u8>,
     has_base: bool,
     /// Set when a write failure invalidated the differential chain; the
     /// next full checkpoint that lands is a forced re-anchor.
@@ -62,33 +65,26 @@ impl CheckpointPolicy for NaiveDcPolicy {
     }
 
     fn process(&mut self, job: Job, cx: &mut EngineCtx<'_>) {
-        let snap = match job {
-            Job::Full(snap) => snap,
-            Job::IncrementalFull(ticket) => {
-                // Naïve DC needs the materialized state (delta computation
-                // reads `snap.state`), so complete the capture and decode
-                // the sealed frame back into a pooled snapshot — the frame
-                // is byte-identical to the blocking encode, so the decode
-                // round-trips exactly.
-                let snap = cx.complete_capture_into_snapshot(&ticket);
-                cx.release_ticket(ticket);
-                match snap {
-                    Some(snap) => snap,
-                    None => return,
-                }
-            }
-            _ => {
-                debug_assert!(false, "naive-dc submits full snapshots");
-                return;
-            }
+        let Job::Full(ticket) = job else {
+            debug_assert!(false, "naive-dc submits full snapshots");
+            return;
         };
-        let state = &snap.state;
-        if !self.has_base || state.iteration.is_multiple_of(self.full_every) {
+        // The inline engine captured the state eagerly: params and moments
+        // are read straight from the frame, with no decode — and, on diff
+        // intervals, without sealing a full that is never written.
+        if !cx.finish_capture(&ticket) {
+            cx.release_ticket(ticket);
+            return;
+        }
+        let iteration = ticket.iteration();
+        let layout = ticket.layout();
+        let params = layout.params_off..layout.m_off;
+        if !self.has_base || iteration.is_multiple_of(self.full_every) {
             // The first checkpoint is always a full base (Equation (2)
             // needs a C^F to anchor the differential chain).
             // Synchronous full checkpoint (Check-N-Run persists the base
             // synchronously too).
-            if cx.persist_full(&self.tiers, state, &snap.aux(), &FullOpts::durable()) {
+            if cx.persist_full(&self.tiers, &ticket, &FullOpts::durable()) {
                 self.has_base = true;
                 if self.reanchor_pending {
                     self.reanchor_pending = false;
@@ -99,15 +95,14 @@ impl CheckpointPolicy for NaiveDcPolicy {
                 // re-attempts the full — the chain must stay anchored.
                 self.has_base = false;
             }
-            self.retain_params(state);
-        } else if state.iteration.is_multiple_of(self.diff_every) {
+            self.retain_params(&ticket.bytes()[params]);
+        } else if iteration.is_multiple_of(self.diff_every) {
+            let frame = ticket.bytes();
             if let Some(prev) = &self.prev_params {
                 // 1. delta computation (training thread).
-                let delta: Vec<f32> = state
-                    .params
-                    .iter()
-                    .zip(prev)
-                    .map(|(&new, &old)| new - old)
+                let delta: Vec<f32> = f32s(&frame[params.clone()])
+                    .zip(f32s(prev))
+                    .map(|(new, old)| new - old)
                     .collect();
                 // 2. compression stall (Challenge 1).
                 let mut topk = TopK::new(self.rho);
@@ -115,25 +110,24 @@ impl CheckpointPolicy for NaiveDcPolicy {
                 // 3. synchronous write of delta + dense moments
                 //    (Challenge 2 + Exp. 7).
                 let entry = DiffEntry {
-                    iteration: state.iteration - 1,
+                    iteration: iteration - 1,
                     grad: compressed,
                 };
                 // NB: iteration−1 because the delta advances M_{t-1} → M_t.
                 if cx.persist_diff_entries(&self.tiers, std::slice::from_ref(&entry)) {
-                    let mut moments = Vec::with_capacity(8 + state.params.len() * 8);
-                    moments.extend_from_slice(&state.opt.t.to_le_bytes());
-                    for &m in &state.opt.m {
-                        moments.extend_from_slice(&m.to_le_bytes());
-                    }
-                    for &v in &state.opt.v {
-                        moments.extend_from_slice(&v.to_le_bytes());
-                    }
+                    // Adam's step count, then m and v — contiguous in the
+                    // frame.
+                    let m_and_v = &frame[layout.m_off..layout.v_off + params.len()];
+                    self.moments.clear();
+                    self.moments
+                        .extend_from_slice(&ticket.adam_t().to_le_bytes());
+                    self.moments.extend_from_slice(m_and_v);
                     // Recovery tolerates a missing moments blob (params
                     // still replayable); a failed put only degrades.
                     cx.persist_blob(
                         &self.tiers,
-                        &NaiveDcStrategy::moments_key(state.iteration - 1),
-                        &moments,
+                        &NaiveDcStrategy::moments_key(iteration - 1),
+                        &self.moments,
                     );
                 } else {
                     // Dropped delta: the chain past the last full is now
@@ -141,26 +135,30 @@ impl CheckpointPolicy for NaiveDcPolicy {
                     self.has_base = false;
                     self.reanchor_pending = true;
                 }
-                self.retain_params(state);
-            } else {
-                // No base yet: retain state so the first diff has a parent.
-                self.retain_params(state);
             }
+            // With no base yet this just retains the first diff's parent.
+            self.retain_params(&frame[params]);
         }
-        cx.recycle_state(snap);
+        cx.release_ticket(ticket);
     }
 }
 
 impl NaiveDcPolicy {
     /// Retain the parameters as the next delta's parent, reusing the
-    /// previous retained allocation (`clone_from` truncates + extends in
-    /// place) instead of allocating a fresh Ψ-sized vector per interval.
-    fn retain_params(&mut self, state: &ModelState) {
-        match &mut self.prev_params {
-            Some(prev) => prev.clone_from(&state.params),
-            None => self.prev_params = Some(state.params.clone()),
-        }
+    /// previous retained allocation instead of allocating a fresh Ψ-sized
+    /// buffer per interval.
+    fn retain_params(&mut self, params: &[u8]) {
+        let prev = self.prev_params.get_or_insert_with(Vec::new);
+        prev.clear();
+        prev.extend_from_slice(params);
     }
+}
+
+/// Decode a region of little-endian f32s from a checkpoint frame.
+fn f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("chunks_exact(4) yields 4 bytes")))
 }
 
 /// Naïve DC baseline strategy.
@@ -208,6 +206,7 @@ impl NaiveDcStrategy {
             full_every,
             rho,
             prev_params: None,
+            moments: Vec::new(),
             has_base: false,
             reanchor_pending: false,
         };
@@ -273,20 +272,12 @@ impl CheckpointStrategy for NaiveDcStrategy {
         "naive-dc"
     }
 
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
-    }
-
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
         if !self.engine.wants_capture(state.iteration) {
             return Secs::ZERO;
         }
         let t0 = Instant::now();
         self.engine.submit_full(t0, state, aux).stall
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
-        self.engine.take_pending_capture()
     }
 
     fn flush(&mut self) -> Secs {

@@ -13,7 +13,7 @@
 //!
 //! Usage: `bench_ckpt_e2e [--psi N] [--iters K] [--mbps B] [--stripes S]
 //! [--peers P] [--quant-bits Q] [--adaptive] [--max-quant-err E]
-//! [--snapshot-mode blocking|incremental] [--out PATH] [--smoke]`
+//! [--out PATH] [--smoke]`
 //! (defaults: 262144 params, 40 iterations, 300 MB/s, 1 stripe, 1 peer,
 //! 8-bit quantized row, BENCH_ckpt_e2e.json). `--stripes S` fans every
 //! checkpoint blob out into S concurrent ranged writes sealed by a
@@ -23,12 +23,13 @@
 //! `--peers P` sizes the `lowdiff-peer` row — LowDiff over a
 //! `[PeerTier(P), DurableTier(async)]` recovery stack, every checkpoint
 //! object streamed to P ring peers with the durable write trailing
-//! asynchronously (0 drops the row). `--snapshot-mode` selects how full
-//! checkpoints leave the training thread — `blocking` (one-shot copy, the
-//! default) or `incremental` (chunked copy-on-write capture swept off the
-//! training thread); an always-present `lowdiff-cow` row runs LowDiff with
-//! incremental capture regardless, so every recorded JSON carries the
-//! blocking-vs-COW `snapshot_peak_ms` comparison. `--quant-bits Q` adds a
+//! asynchronously (0 drops the row). Every row but one drives its
+//! strategy without a capture session, so full checkpoints are copied
+//! into their frames before `after_update` returns (eager capture);
+//! the `lowdiff-cow` row opens a session and polls `take_pending_capture`
+//! after each update, so the worker's sweep fills the frames instead
+//! (deferred capture) — its `snapshot_peak_ms` against the `lowdiff` row is
+//! the full-checkpoint stall spike deferral removes. `--quant-bits Q` adds a
 //! `lowdiff-qQ` row persisting differentials
 //! through the v3 quantized codec (0 disables it); `--adaptive` +
 //! `--max-quant-err E` let the per-chunk width chooser move on the
@@ -50,7 +51,7 @@
 use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::lowdiff_plus::{LowDiffPlusConfig, LowDiffPlusStrategy};
 use lowdiff::strategy::CheckpointStrategy;
-use lowdiff::{EngineConfig, PeerReplicateStrategy, SnapshotMode};
+use lowdiff::{CowTicket, EngineConfig, PeerReplicateStrategy};
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_bench::print_table;
 use lowdiff_comm::ReplicaNet;
@@ -98,10 +99,11 @@ struct E2eResult {
     writes: u64,
     /// Largest single snapshot-stage sample (capture + enqueue).
     snapshot_peak_ms: f64,
-    /// Largest copy-on-write capture span (framing → seal, overlapped
-    /// with compute). Zero in blocking mode.
+    /// Largest capture span (framing → seal; overlapped with compute when
+    /// deferred).
     capture_peak_ms: f64,
-    /// Chunks copied by the update-path COW hook vs the worker sweeper.
+    /// Chunks copied on the training thread (eager submit or COW hook) vs
+    /// by the worker sweeper.
     cow_chunks: u64,
     sweep_chunks: u64,
     /// Allocations during the post-warmup iterations (count-allocs builds).
@@ -176,19 +178,23 @@ fn stripe_scaling_sweep(mbps: f64, channels: usize, initial: &ModelState) -> Vec
 
 /// Drive one strategy over the shared trace; returns its stall profile.
 /// `per_iter` runs the strategy's training-side hooks for one iteration and
-/// returns the stall they charged to the training thread.
+/// returns the stall they charged to the training thread. `deferred` drives
+/// it the way `Trainer::run_with_data` does: prime (open the capture
+/// session) and hold each deferred capture until the next replaces it.
+/// `per_iter` never mutates params or moments, so no COW hook is needed.
 fn run_strategy<S: CheckpointStrategy>(
     name: &'static str,
     iters: u64,
     mut strat: S,
+    deferred: bool,
     mut per_iter: impl FnMut(&mut S, &mut ModelState) -> f64,
     state: &ModelState,
 ) -> E2eResult {
     let mut state = state.clone();
-    // Mirror Trainer::run_with_data's warm-up: engine capture pools are
-    // sized (and page-touched) before the first measured iteration, the
-    // same contract real training runs get.
-    strat.prime(&state, &AuxView::NONE);
+    if deferred {
+        strat.prime(&state, &AuxView::NONE);
+    }
+    let mut held: Option<Arc<CowTicket>> = None;
     // Allocation accounting ignores a warmup prefix: pools fill during the
     // first few checkpoints, steady state is what the tentpole claims.
     let warmup = (iters / 4).clamp(1, 10).min(iters.saturating_sub(1));
@@ -200,7 +206,14 @@ fn run_strategy<S: CheckpointStrategy>(
         if i == warmup {
             at_warm = alloc_counts();
         }
-        let stall = per_iter(&mut strat, &mut state);
+        let mut stall = per_iter(&mut strat, &mut state);
+        if deferred {
+            let t0 = Instant::now();
+            if let Some(prev) = strat.take_pending_capture().and_then(|t| held.replace(t)) {
+                prev.cow_all();
+            }
+            stall += t0.elapsed().as_secs_f64();
+        }
         samples.push(stall);
         total_stall += stall;
     }
@@ -298,7 +311,6 @@ fn main() {
     let mut quant_bits: u8 = 8;
     let mut adaptive = false;
     let mut max_quant_err: f32 = 0.0;
-    let mut snapshot = SnapshotMode::Blocking;
     let mut out_path = String::from("BENCH_ckpt_e2e.json");
     let mut out_explicit = false;
     let mut smoke = false;
@@ -318,13 +330,6 @@ fn main() {
             "--adaptive" => adaptive = true,
             "--max-quant-err" => {
                 max_quant_err = val("--max-quant-err").parse().expect("bad --max-quant-err")
-            }
-            "--snapshot-mode" => {
-                snapshot = match val("--snapshot-mode").as_str() {
-                    "blocking" => SnapshotMode::Blocking,
-                    "incremental" => SnapshotMode::Incremental,
-                    other => panic!("--snapshot-mode must be blocking|incremental, got {other}"),
-                }
             }
             "--out" => {
                 out_path = val("--out");
@@ -360,12 +365,11 @@ fn main() {
     };
     let ecfg = move || EngineConfig {
         stripe,
-        snapshot,
         ..EngineConfig::default()
     };
     eprintln!(
         "bench_ckpt_e2e: {psi} params, {iters} iterations, {mbps} MB/s storage, \
-         {stripes} stripe(s), {peers} replica peer(s), {snapshot:?} snapshots"
+         {stripes} stripe(s), {peers} replica peer(s)"
     );
 
     // One recorded gradient, reused every iteration: the stall numbers are
@@ -387,21 +391,16 @@ fn main() {
     let mut results: Vec<E2eResult> = Vec::new();
 
     // LowDiff (Algorithm 1): per-iteration compressed differentials,
-    // batched writes, full every 10. Runs twice: once at the requested
-    // snapshot mode and once with incremental COW capture, so the
-    // `snapshot_peak_ms` delta (the full-checkpoint stall spike this
-    // bench exists to kill) is always in the recorded JSON.
-    for (row, row_mode) in [
-        ("lowdiff", snapshot),
-        ("lowdiff-cow", SnapshotMode::Incremental),
-    ] {
+    // batched writes, full every 10. Runs twice: driven eagerly and
+    // deferred, so the `snapshot_peak_ms` delta (the full-checkpoint stall
+    // spike deferral removes) is always in the recorded JSON.
+    for (row, deferred) in [("lowdiff", false), ("lowdiff-cow", true)] {
         let strat = LowDiffStrategy::new(
             throttled_store(mbps),
             LowDiffConfig {
                 full_every: 10,
                 batch_size: 4,
                 stripe,
-                snapshot: row_mode,
                 ..LowDiffConfig::default()
             },
         );
@@ -410,6 +409,7 @@ fn main() {
             row,
             iters,
             strat,
+            deferred,
             move |s, st| {
                 let a = s
                     .on_synced_gradient(st.iteration, &cg, &AuxView::NONE)
@@ -434,7 +434,6 @@ fn main() {
                 full_every: 10,
                 batch_size: 4,
                 stripe,
-                snapshot,
                 ..LowDiffConfig::default()
             },
             net,
@@ -446,6 +445,7 @@ fn main() {
             "lowdiff-peer",
             iters,
             strat,
+            false,
             move |s, st| {
                 let a = s
                     .on_synced_gradient(st.iteration, &cg, &AuxView::NONE)
@@ -473,7 +473,6 @@ fn main() {
                 full_every: 10,
                 batch_size: 4,
                 stripe,
-                snapshot,
                 value_codec: ValueCodec::Quantized(quant_cfg),
                 ..LowDiffConfig::default()
             },
@@ -487,6 +486,7 @@ fn main() {
             },
             iters,
             strat,
+            false,
             move |s, st| {
                 let a = s
                     .on_synced_gradient(st.iteration, &cg, &AuxView::NONE)
@@ -517,6 +517,7 @@ fn main() {
             "lowdiff+",
             iters,
             strat,
+            false,
             move |s, st| {
                 let a = s.on_layer_gradient(st.iteration, 0, 0..psi, &grad).as_f64();
                 let b = s
@@ -537,6 +538,7 @@ fn main() {
             "checkfreq",
             iters,
             strat,
+            false,
             |s, st| {
                 st.iteration += 1;
                 s.after_update(st, &AuxView::NONE).as_f64()
@@ -552,6 +554,7 @@ fn main() {
             "torch-save",
             iters,
             strat,
+            false,
             |s, st| {
                 st.iteration += 1;
                 s.after_update(st, &AuxView::NONE).as_f64()
@@ -567,6 +570,7 @@ fn main() {
             "gemini",
             iters,
             strat,
+            false,
             |s, st| {
                 st.iteration += 1;
                 s.after_update(st, &AuxView::NONE).as_f64()
@@ -582,6 +586,7 @@ fn main() {
             "naive-dc",
             iters,
             strat,
+            false,
             |s, st| {
                 let idx = st.iteration as usize % st.params.len();
                 st.params[idx] += 1e-3;
@@ -715,13 +720,6 @@ fn main() {
     json.push_str(&format!("  \"storage_mbps\": {mbps},\n"));
     json.push_str(&format!("  \"persist_stripes\": {stripes},\n"));
     json.push_str(&format!("  \"replica_peers\": {peers},\n"));
-    json.push_str(&format!(
-        "  \"snapshot_mode\": \"{}\",\n",
-        match snapshot {
-            SnapshotMode::Blocking => "blocking",
-            SnapshotMode::Incremental => "incremental",
-        }
-    ));
     json.push_str(&format!("  \"alloc_counting\": {counting},\n"));
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {

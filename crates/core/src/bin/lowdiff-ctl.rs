@@ -314,11 +314,12 @@ fn cmd_health(dir: &str) {
                 f(&format!("{stage}_p99_us")),
             );
         }
-        // Incremental-capture chunk accounting: who copied the snapshot —
-        // the update-path COW hook or the worker-side sweeper.
+        // Capture chunk accounting: who copied the fulls into their frames
+        // — the training thread (eager submit or update-path COW hook) or
+        // the worker-side sweeper.
         if let (Some(cow), Some(sweep)) = (num("cow_chunks"), num("sweep_chunks")) {
             if cow + sweep > 0 {
-                out!("  cow capture: {cow} chunk(s) via update hook, {sweep} swept");
+                out!("  capture: {cow} chunk(s) on the training thread, {sweep} swept");
             }
         }
         out!(

@@ -1,43 +1,43 @@
-//! Incremental copy-on-write snapshot capture.
+//! Full-checkpoint capture into a pooled wire frame.
 //!
-//! The blocking full-snapshot path ([`super::SnapshotSlots`]) stops the
-//! training thread for a ~3Ψ `copy_from` every anchor — the dominant
-//! residual stall now that encode is zero-copy and persist is striped. A
-//! [`CowTicket`] removes that spike: [`CowTicket::reset`] only *frames*
-//! the checkpoint (writes the v2 header and the small aux sections into
-//! the final wire buffer, microseconds), and the 12Ψ bytes of params /
-//! moments / residual are captured **chunk by chunk** afterwards, raced
-//! between two parties:
+//! Every full checkpoint is captured through a [`CowTicket`]:
+//! [`CowTicket::reset`] only *frames* the checkpoint (writes the v2 header
+//! and the small aux sections into the final wire buffer, microseconds),
+//! and the 12Ψ bytes of params / moments / residual are copied **chunk by
+//! chunk** straight to their wire offsets (the frame layout is fixed —
+//! [`lowdiff_storage::codec::full_frame_layout`]), so capture **is** the
+//! encode: once the last chunk lands the worker seals the CRC and hands
+//! the finished blob to the striped/tiered persist fan-out. The sealed
+//! blob is **byte-identical** to what `encode_full_checkpoint_into`
+//! produces from the state at the submit instant.
 //!
-//! * the **copy-on-write hook** — the optimizer update copies each
-//!   still-uncaptured chunk into the frame immediately before overwriting
-//!   it ([`CowTicket::cow_range`]), so the snapshot always reflects the
-//!   submit-instant values;
-//! * the **sweeper** — the engine worker captures every cold chunk
-//!   ([`CowTicket::sweep`]) while the training thread is off computing.
+//! Who copies the chunks is decided by the engine's capture session (see
+//! [`super::CheckpointEngine::open_session`]):
 //!
-//! Chunks land *directly at their wire offsets* (the frame layout is
-//! fixed — [`lowdiff_storage::codec::full_frame_layout`]), so capture
-//! **is** the streamed encode: once the last chunk lands the worker seals
-//! the CRC and hands the finished blob to the striped/tiered persist
-//! fan-out. By construction the sealed blob is **byte-identical** to what
-//! `encode_full_checkpoint_into` would have produced from a blocking copy
-//! at the submit instant — the `engine_equivalence` proptests pin that.
+//! * **eager** (no session) — the submitter copies every chunk
+//!   ([`CowTicket::cow_all`]) before `submit_full` returns;
+//! * **deferred** (inside a session) — two parties race: the
+//!   **copy-on-write hook**, which the optimizer update calls to copy each
+//!   still-uncaptured chunk immediately before overwriting it
+//!   ([`CowTicket::cow_range`]), and the **sweeper**, the engine worker
+//!   capturing every cold chunk ([`CowTicket::sweep`]) while the training
+//!   thread is off computing.
 //!
 //! ### Safety contract
 //!
 //! A ticket holds raw pointers into the live `ModelState` (and EF
-//! residual). The submitter guarantees, until the capture completes
-//! (`remaining() == 0`) or the ticket is re-`reset`:
+//! residual). Until the capture completes (`remaining() == 0`) or the
+//! ticket is re-`reset`:
 //!
 //! * the source buffers are neither freed nor reallocated;
 //! * every mutation of a source region goes through
 //!   [`CowTicket::cow_range`] first (or [`CowTicket::cow_all`] completes
 //!   the capture before unhooked mutation).
 //!
-//! The trainer enforces this with a capture guard dropped *before* the
-//! model state; direct engine users must keep the state alive across
-//! engine drop (which joins the sweeping worker).
+//! An eager capture is complete before the submitter regains control. A
+//! deferred one is only handed to a caller that opened the session and
+//! therefore drives the hooks: the trainer holds it in a capture guard
+//! dropped *before* the model state.
 
 use lowdiff_compress::AuxView;
 use lowdiff_optim::ModelState;
@@ -82,6 +82,8 @@ struct Region {
 
 struct Setup {
     iteration: u64,
+    adam_t: u64,
+    layout: FullFrameLayout,
     regions: Vec<Region>,
     /// Index into `regions` per [`CowRegion`] discriminant; `None` when
     /// the region is absent from this capture (no EF residual).
@@ -93,6 +95,8 @@ impl Default for Setup {
     fn default() -> Self {
         Self {
             iteration: 0,
+            adam_t: 0,
+            layout: codec::full_frame_layout(0, &AuxView::NONE),
             regions: Vec::new(),
             by_region: [None; 4],
             start: Instant::now(),
@@ -124,7 +128,8 @@ unsafe impl Send for CowTicket {}
 unsafe impl Sync for CowTicket {}
 
 impl CowTicket {
-    fn empty() -> Self {
+    /// An unframed ticket; its first [`Self::reset`] allocates the frame.
+    pub(crate) fn empty() -> Self {
         Self {
             buf: UnsafeCell::new(Vec::new()),
             setup: Setup::default(),
@@ -135,34 +140,13 @@ impl CowTicket {
         }
     }
 
-    /// A ticket pre-sized for captures of `state` + `aux`: frame buffer,
-    /// region list, and chunk state machine are all built at their final
-    /// sizes, so the ticket's *first* `reset` is as allocation-free (and
-    /// memset-free) as every later one (pool rotation means first-resets
-    /// can land well past warmup). The buffer is fully *framed*, not just
-    /// reserved: that faults its pages in at priming time and stamps the
-    /// flags byte, so even the first `reset` takes
-    /// [`codec::reframe_full_frame_into`]'s in-place fast path instead of
-    /// the multi-MB placeholder zeroing.
-    fn primed(state: &ModelState, aux: &AuxView<'_>) -> Self {
-        let psi = state.params.len();
-        let mut t = Self::empty();
-        codec::encode_full_frame_into(0, 0, psi, aux, t.buf.get_mut());
-        t.buf.get_mut().reserve(4); // the CRC seal must not reallocate
-        t.setup.regions.reserve(4);
-        let regions = 3 + usize::from(aux.residual.is_some());
-        let chunks = ChunkMap::new(psi, COW_CHUNK_ELEMS).num_chunks();
-        t.states = ChunkStates::new(regions * chunks);
-        t
-    }
-
     /// Frame a new capture of `state` + `aux` into this (exclusively
     /// held) ticket: write the v2 header and small aux sections at their
     /// final wire offsets, arm the chunk state machine, and remember
-    /// where to read each region from. On a recycled (or [`primed`])
-    /// ticket this is O(header) — the previous frame's region bytes stay
-    /// in place and are overwritten chunk by chunk, so not even a memset
-    /// of the Ψ-sized regions lands on the training thread.
+    /// where to read each region from. On a recycled ticket this is
+    /// O(header) — the previous frame's region bytes stay in place and are
+    /// overwritten chunk by chunk, so not even a memset of the Ψ-sized
+    /// regions lands on the training thread.
     pub(crate) fn reset(&mut self, state: &ModelState, aux: &AuxView<'_>) {
         let psi = state.params.len();
         let buf = self.buf.get_mut();
@@ -173,6 +157,8 @@ impl CowTicket {
         // The region list is rebuilt in place (≤ 4 entries, capacity kept
         // across resets): a recycled ticket's reset stays allocation-free.
         self.setup.iteration = state.iteration;
+        self.setup.adam_t = state.opt.t;
+        self.setup.layout = layout;
         self.setup.by_region = [None; 4];
         self.setup.regions.clear();
         let residual = match (aux.residual, layout.residual_off) {
@@ -210,6 +196,17 @@ impl CowTicket {
     /// The iteration this capture snapshots (policies key persists off it).
     pub fn iteration(&self) -> u64 {
         self.setup.iteration
+    }
+
+    /// Adam's step count of the captured state.
+    pub fn adam_t(&self) -> u64 {
+        self.setup.adam_t
+    }
+
+    /// Where params / m / v / residual sit in the frame (readers of the
+    /// captured bytes, e.g. Naïve DC's delta, address the regions by it).
+    pub fn layout(&self) -> FullFrameLayout {
+        self.setup.layout
     }
 
     /// Chunks not yet captured. 0 means the frame is fully assembled.
@@ -276,9 +273,9 @@ impl CowTicket {
         }
     }
 
-    /// Complete the capture from the submitter's side (guard teardown /
-    /// stale-ticket replacement): claim and copy every remaining chunk.
-    /// After this returns the sources may be mutated or freed.
+    /// Complete the capture from the submitter's side (an eager submit, or
+    /// guard teardown): claim and copy every remaining chunk. After this
+    /// returns the sources may be mutated or freed.
     pub fn cow_all(&self) {
         for r in &self.setup.regions {
             for idx in 0..r.map.num_chunks() {
@@ -327,69 +324,66 @@ impl CowTicket {
         codec::seal_frame(unsafe { &mut *self.buf.get() });
     }
 
-    /// The sealed wire blob — byte-identical to the blocking encoder's
-    /// output for the captured state.
-    pub fn sealed_bytes(&self) -> &[u8] {
-        assert!(
-            self.sealed.load(Ordering::Acquire),
-            "sealed_bytes before seal"
-        );
-        // Safety: sealed tickets are read-only until the next reset.
+    /// The captured frame: the wire blob's body, plus its CRC once
+    /// sealed — then byte-identical to `encode_full_checkpoint` of the
+    /// state at the submit instant. Must only be called once the capture
+    /// is complete, and not across the ticket's own `seal`.
+    pub fn bytes(&self) -> &[u8] {
+        assert_eq!(self.remaining(), 0, "bytes of an incomplete capture");
+        // Safety: every chunk is captured, so no hook or sweeper writes
+        // the buffer any more; only `seal` (the policy's own call, never
+        // concurrent with this borrow) and the next reset mutate it.
         unsafe { &*self.buf.get() }
     }
 }
 
-/// Recycled COW tickets, mirroring [`super::SnapshotSlots`]: primed to
-/// the pipeline depth on the first anchor (the frame buffer is reserved
-/// to its final size once), then reused round-robin. A ticket is only
-/// reusable when the pool holds its sole reference — both the submitter's
-/// pending handle and the worker's job handle have been dropped.
+/// Recycled capture tickets. The first anchor fills the pool to its
+/// depth with framed (page-touched) tickets, so later anchors reuse a
+/// frame even while earlier fulls are still in flight; a pipeline deeper
+/// than the pool falls back to a fresh ticket (the excess is dropped on
+/// release). A ticket is reusable once the pool holds its sole reference
+/// — the worker has persisted it and no capture guard still pins it.
 pub(crate) struct CowTickets {
     slots: Mutex<Vec<Arc<CowTicket>>>,
     depth: usize,
-    primed: AtomicBool,
+    filled: AtomicBool,
 }
 
 impl CowTickets {
-    /// Shallow bound like the snapshot-slot pool's (each ticket holds a
-    /// full wire frame, ~12Ψ bytes), one deeper to cover the saturation
-    /// head-start described at the spawn site.
-    const MAX_DEPTH: usize = 5;
+    /// Upper bound on pooled tickets: each holds a full wire frame (~12Ψ
+    /// bytes), so the pool stays shallow even behind a deep job queue.
+    const MAX_DEPTH: usize = 4;
 
     pub(crate) fn new(pipeline_depth: usize) -> Self {
         Self {
             slots: Mutex::new(Vec::new()),
             depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-            primed: AtomicBool::new(false),
+            filled: AtomicBool::new(false),
         }
     }
 
-    /// Fill the pool with `depth` tickets pre-sized (and page-touched)
-    /// for captures shaped like `state` + `aux`. Idempotent; called
-    /// eagerly before the first training iteration so no anchor pays the
-    /// one-time allocation + page-fault cost, and again defensively from
-    /// [`CowTickets::get_primed`].
-    pub(crate) fn prime(&self, state: &ModelState, aux: &AuxView<'_>) {
-        let mut slots = self.slots.lock();
-        if !self.primed.swap(true, Ordering::Relaxed) {
-            while slots.len() < self.depth {
-                slots.push(Arc::new(CowTicket::primed(state, aux)));
+    /// Frame a capture of `state` + `aux` into a free pooled ticket. No
+    /// chunk is captured yet.
+    pub(crate) fn frame(&self, state: &ModelState, aux: &AuxView<'_>) -> Arc<CowTicket> {
+        let free = {
+            let mut slots = self.slots.lock();
+            if !self.filled.swap(true, Ordering::Relaxed) {
+                slots.extend((0..self.depth).map(|_| {
+                    let mut t = CowTicket::empty();
+                    t.reset(state, aux);
+                    Arc::new(t)
+                }));
             }
-        }
-    }
-
-    /// Pop an exclusively-held ticket, priming the pool first in case no
-    /// eager [`CowTickets::prime`] ran.
-    pub(crate) fn get_primed(&self, state: &ModelState, aux: &AuxView<'_>) -> Arc<CowTicket> {
-        self.prime(state, aux);
-        let mut slots = self.slots.lock();
-        // Exclusive = the pool's Arc is the only one left; in-flight
-        // tickets (worker still persisting) are skipped.
-        if let Some(pos) = slots.iter().position(|t| Arc::strong_count(t) == 1) {
-            slots.swap_remove(pos)
-        } else {
-            Arc::new(CowTicket::empty())
-        }
+            slots
+                .iter()
+                .position(|t| Arc::strong_count(t) == 1)
+                .map(|i| slots.swap_remove(i))
+        };
+        let mut ticket = free.unwrap_or_else(|| Arc::new(CowTicket::empty()));
+        Arc::get_mut(&mut ticket)
+            .expect("pooled COW ticket must be exclusive")
+            .reset(state, aux);
+        ticket
     }
 
     pub(crate) fn put(&self, t: Arc<CowTicket>) {
@@ -434,7 +428,7 @@ mod tests {
         t.sweep();
         assert_eq!(t.remaining(), 0);
         t.seal();
-        assert_eq!(t.sealed_bytes(), &blocking[..]);
+        assert_eq!(t.bytes(), &blocking[..]);
         let (cow, swept) = t.chunk_counts();
         assert_eq!(cow, 0);
         assert_eq!(swept, 4 * 2); // 4 regions x 2 chunks each
@@ -463,7 +457,7 @@ mod tests {
         t.sweep();
         t.seal();
         assert_eq!(
-            t.sealed_bytes(),
+            t.bytes(),
             &blocking[..],
             "COW capture must snapshot submit-instant values"
         );
@@ -492,33 +486,29 @@ mod tests {
         });
         assert_eq!(t.remaining(), 0);
         t.seal();
-        assert_eq!(t.sealed_bytes(), &blocking[..]);
+        assert_eq!(t.bytes(), &blocking[..]);
     }
 
     #[test]
     fn ticket_reuse_reframes_cleanly() {
-        let pool = CowTickets::new(2);
+        let pool = CowTickets::new(1);
         let st = demo_state(100, 8);
         let view = AuxView::NONE;
-        let mut t = pool.get_primed(&st, &view);
-        Arc::get_mut(&mut t).unwrap().reset(&st, &view);
+        let t = pool.frame(&st, &view);
         t.sweep();
         t.seal();
-        let first = t.sealed_bytes().to_vec();
+        let first = t.bytes().to_vec();
+        let recycled = Arc::as_ptr(&t);
         pool.put(t);
-        // Second capture of a different state through the same pool.
+        // Second capture of a different state through the same pool: the
+        // recycled ticket, not a fresh one.
         let mut st2 = demo_state(100, 9);
         st2.iteration = 77;
-        let mut t = pool.get_primed(&st2, &view);
-        Arc::get_mut(&mut t)
-            .expect("pooled ticket must be exclusive")
-            .reset(&st2, &view);
+        let t = pool.frame(&st2, &view);
+        assert_eq!(Arc::as_ptr(&t), recycled);
         t.sweep();
         t.seal();
-        assert_eq!(
-            t.sealed_bytes(),
-            &codec::encode_full_checkpoint(&st2, &view)[..]
-        );
-        assert_ne!(t.sealed_bytes(), &first[..]);
+        assert_eq!(t.bytes(), &codec::encode_full_checkpoint(&st2, &view)[..]);
+        assert_ne!(t.bytes(), &first[..]);
     }
 }

@@ -18,15 +18,12 @@
 //! What each point simulates:
 //!
 //! * [`CrashPoint::PreSnapshot`] — death on the training thread before the
-//!   state is even captured: the job never enters the pipeline.
-//! * [`CrashPoint::MidCapture`] — incremental snapshots: death while the
-//!   copy-on-write capture is still assembling the full frame in memory.
-//!   Some chunks have been copied into the (unsealed) snapshot buffer, but
-//!   nothing has been encoded or written — the partially captured frame
-//!   dies with the process and recovery sees only earlier checkpoints. For
-//!   blocking-capture strategies that never go through a ticket (LowDiff+'s
-//!   replica-side copy), the point fires in the equivalent window between
-//!   the replica snapshot copy and its persist.
+//!   job enters the pipeline.
+//! * [`CrashPoint::MidCapture`] — death while a full checkpoint's frame is
+//!   assembled only in memory (`EngineCtx::finish_capture`, every scheme):
+//!   chunks have been copied into the unsealed frame, but nothing has been
+//!   sealed or written — the frame dies with the process and recovery sees
+//!   only earlier checkpoints.
 //! * [`CrashPoint::PostEncode`] — death after encode, before any byte is
 //!   written: the blob never lands.
 //! * [`CrashPoint::MidPersist`] — power cut mid-write: a truncated prefix
@@ -52,10 +49,10 @@ use std::sync::Arc;
 /// A named stage boundary in the snapshot → encode → persist pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// Training thread, before the snapshot is captured into a slot.
+    /// Training thread, before the job enters the pipeline.
     PreSnapshot,
-    /// Incremental capture, after some chunks have been copied into the
-    /// unsealed snapshot frame, before it is sealed or persisted.
+    /// Full-checkpoint capture, after chunks have been copied into the
+    /// unsealed frame, before it is sealed or persisted.
     MidCapture,
     /// Worker thread, after encode, before any byte is written.
     PostEncode,

@@ -135,17 +135,17 @@ pub struct EngineCounters {
     pub queue_capacity: u64,
     /// Snapshot stage: state capture + enqueue on the training thread.
     pub snapshot: StageLatency,
-    /// Incremental capture: framing → last chunk sealed (wall-clock span
-    /// of a copy-on-write capture; overlapped with compute, so *not*
-    /// training-thread stall). Zero in blocking mode.
+    /// Full-checkpoint capture: framing → last chunk captured (wall-clock
+    /// span; when deferred it overlaps compute, so it is *not*
+    /// training-thread stall).
     pub capture: StageLatency,
-    /// Encode stage: codec + CRC (off the training thread for async
-    /// engines).
+    /// Encode stage: diff-batch codec + CRC, or a full frame's CRC seal
+    /// (off the training thread for async engines).
     pub encode: StageLatency,
     /// Persist stage: storage writes including every retry.
     pub persist: StageLatency,
-    /// Chunks captured by the copy-on-write hook (update path, just
-    /// before overwrite).
+    /// Chunks captured on the submitting side: an eager submit's copy, or
+    /// the copy-on-write hook (update path, just before overwrite).
     pub cow_chunks: u64,
     /// Chunks captured by the worker-side sweeper (cold chunks).
     pub sweep_chunks: u64,

@@ -4,10 +4,12 @@
 //! ```text
 //! training thread                 │ checkpointing thread (async engines)
 //! ───────────────                 │ ────────────────────
-//! SNAPSHOT: capture state /       │
-//!   clone the gradient handle     │
+//! SNAPSHOT: frame the full into a │
+//!   pooled ticket / clone the     │
+//!   gradient handle               │
 //!   → submit(Job) ──bounded queue──▶ policy.process(job, ctx)
-//!                                 │   ├─ ENCODE: codec + CRC
+//!                                 │   ├─ ENCODE: sweep + seal the frame,
+//!                                 │   │  or encode the diff batch
 //!                                 │   └─ PERSIST: store writes behind the
 //!                                 │      one shared RetryPolicy; dropped
 //!                                 │      batches and forced re-anchors
@@ -46,7 +48,7 @@ pub use cow::{CowRegion, CowTicket, COW_CHUNK_ELEMS};
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use metrics::{EngineCounters, EngineMetrics, LatencyHist, StageLatency};
 pub use persist::{EngineCtx, FullOpts, Tier};
-pub use policy::{CheckpointPolicy, FullSnapshot, Job, PolicyCtl};
+pub use policy::{CheckpointPolicy, Job, PolicyCtl};
 pub use tier::{
     peer_recovery_stores, AckMode, DurabilityClass, DurableTier, MemoryTier, ObjectSink,
     PeerReplicaBackend, PeerTier, RecoveryTier, SinkReport, TierBacking, TierStack,
@@ -67,93 +69,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Recycled snapshot slots: the engine's answer to
-/// `Job::Full(Box::new(state.clone()))`. [`CheckpointEngine::submit_full`]
-/// pops a slot and `copy_from`s the live state — and the error-feedback
-/// residual, when present — into its existing allocations; the policy
-/// returns the box via [`EngineCtx::recycle_state`] once the bytes are
-/// durable.
-///
-/// The pool is sized to the pipeline depth (up to [`Self::MAX_DEPTH`]):
-/// one slot on the worker, up to `queue_capacity` queued, one being
-/// refilled by the trainer. On the *first* anchor the whole pool is primed
-/// with slots pre-sized to the model (residual buffer included), so the
-/// trainer never allocates a full-state buffer again even while earlier
-/// fulls are still in flight — recycling only has to keep up on average,
-/// not per-anchor. Pipelines deeper than the pool fall back to allocating
-/// (and the excess is dropped on recycle).
-pub(crate) struct SnapshotSlots {
-    // Slots stay boxed: `Job::Full` carries `Box<FullSnapshot>`, so
-    // pooling the box keeps get/put free of a >3Ψ move in and out of the
-    // Vec.
-    #[allow(clippy::vec_box)]
-    slots: Mutex<Vec<Box<FullSnapshot>>>,
-    depth: usize,
-    primed: AtomicBool,
-}
-
-impl SnapshotSlots {
-    /// Upper bound on pooled slots: each is a full model state, so the
-    /// pool must stay shallow even behind a deep job queue.
-    const MAX_DEPTH: usize = 4;
-
-    fn new(pipeline_depth: usize) -> Self {
-        Self {
-            slots: Mutex::new(Vec::new()),
-            depth: pipeline_depth.clamp(1, Self::MAX_DEPTH),
-            primed: AtomicBool::new(false),
-        }
-    }
-
-    /// Pop a slot, priming the pool with `depth` pre-sized slots first if
-    /// this is the first anchor (the one-time cost lands in warmup, not
-    /// steady state). The residual buffer is pre-sized from the first
-    /// anchor's aux view, so error-feedback runs stay allocation-free too.
-    fn get_primed(&self, like: &ModelState, aux: &AuxView<'_>) -> Box<FullSnapshot> {
-        if !self.primed.swap(true, Ordering::Relaxed) {
-            let res_len = aux.residual.map_or(0, <[f32]>::len);
-            let mut slots = self.slots.lock();
-            while slots.len() < self.depth {
-                let mut s = Box::new(FullSnapshot::empty());
-                s.state.copy_from(like);
-                s.residual = vec![0.0; res_len];
-                slots.push(s);
-            }
-        }
-        self.slots
-            .lock()
-            .pop()
-            .unwrap_or_else(|| Box::new(FullSnapshot::empty()))
-    }
-
-    pub(crate) fn put(&self, snap: Box<FullSnapshot>) {
-        let mut slots = self.slots.lock();
-        if slots.len() < self.depth {
-            slots.push(snap);
-        }
-    }
-}
-
 /// Storage key of the engine's exported health blob (deliberately outside
 /// the `full-`/`diff-` key spaces so checkpoint discovery ignores it).
 pub const HEALTH_KEY: &str = "meta-engine-health.json";
-
-/// How `submit_full` captures the model state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Capture the whole state into a snapshot slot before submit returns
-    /// (one blocking ~3Ψ copy on the training thread). The historical
-    /// path, byte-identical wire output, safe for any caller.
-    #[default]
-    Blocking,
-    /// Frame the checkpoint at submit (microseconds) and capture the
-    /// state chunk-by-chunk afterwards: copy-on-write hooks in the update
-    /// path plus a worker-side sweeper ([`cow::CowTicket`]). Produces
-    /// byte-identical blobs, but the caller **must** route every mutation
-    /// of params/moments/residual through the pending ticket's hooks
-    /// (the trainer does; opt in only when driving the hooks).
-    Incremental,
-}
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
@@ -178,9 +96,6 @@ pub struct EngineConfig {
     /// per-chunk quantized (v3, bounded-lossy). The default keeps every
     /// existing path byte-identical.
     pub value_codec: ValueCodec,
-    /// Full-state capture mode for `submit_full` (blocking copy vs
-    /// incremental copy-on-write). See [`SnapshotMode`].
-    pub snapshot: SnapshotMode,
 }
 
 impl Default for EngineConfig {
@@ -192,7 +107,6 @@ impl Default for EngineConfig {
             stripe: StripeCfg::default(),
             crash: None,
             value_codec: ValueCodec::F32,
-            snapshot: SnapshotMode::default(),
         }
     }
 }
@@ -221,11 +135,12 @@ pub struct CheckpointEngine {
     metrics: Arc<EngineMetrics>,
     force_full: Arc<AtomicBool>,
     buffers: Arc<BufferPool<u8>>,
-    snaps: Arc<SnapshotSlots>,
     cow: Arc<cow::CowTickets>,
-    snapshot_mode: SnapshotMode,
-    /// The newest in-flight incremental capture, until the adapter picks
-    /// it up via [`Self::take_pending_capture`] to drive the COW hooks.
+    /// A capture session is open ([`Self::open_session`] → [`Self::flush`]):
+    /// full checkpoints are filled deferred, not on submit.
+    session: bool,
+    /// The newest deferred capture, until the adapter picks it up via
+    /// [`Self::take_pending_capture`] to drive the COW hooks.
     pending: Option<Arc<CowTicket>>,
     crash: Option<Arc<CrashInjector>>,
     value_codec: ValueCodec,
@@ -255,16 +170,9 @@ impl CheckpointEngine {
         metrics.set_capacity(cfg.queue_capacity as u64);
         let force_full = Arc::new(AtomicBool::new(false));
         let buffers = Arc::new(BufferPool::default());
-        // Worker slot + queued slots + the one the trainer is refilling.
-        let snaps = Arc::new(SnapshotSlots::new(cfg.queue_capacity + 2));
-        // COW tickets need one slot more than the snapshot pool: the
-        // worker frees its queue slot (unblocking the next submit) before
-        // the persist completes and releases its ticket, and the trainer's
-        // capture guard pins the newest ticket besides — at saturation
-        // `queue_capacity + 2` tickets are simultaneously in flight, so
-        // one extra keeps the pool from running dry (a dry pool means a
-        // cold Ψ-sized allocation on the training thread).
-        let cow = Arc::new(cow::CowTickets::new(cfg.queue_capacity + 3));
+        // At saturation one ticket is persisting on the worker, a queue's
+        // worth is waiting, and the trainer is framing the next.
+        let cow = Arc::new(cow::CowTickets::new(cfg.queue_capacity + 2));
         let (job_tx, job_rx) = bounded(cfg.queue_capacity);
         let (ctl_tx, ctl_rx) = unbounded();
         let worker = {
@@ -272,7 +180,6 @@ impl CheckpointEngine {
             let metrics = Arc::clone(&metrics);
             let force_full = Arc::clone(&force_full);
             let buffers = Arc::clone(&buffers);
-            let snaps = Arc::clone(&snaps);
             let cow = Arc::clone(&cow);
             let crash = cfg.crash.clone();
             let retry = cfg.retry;
@@ -292,7 +199,6 @@ impl CheckpointEngine {
                         force_full,
                         metrics,
                         buffers,
-                        snaps,
                         cow,
                         crash,
                     )
@@ -308,9 +214,8 @@ impl CheckpointEngine {
             metrics,
             force_full,
             buffers,
-            snaps,
             cow,
-            snapshot_mode: cfg.snapshot,
+            session: false,
             pending: None,
             crash: cfg.crash,
             value_codec: cfg.value_codec,
@@ -340,14 +245,10 @@ impl CheckpointEngine {
             metrics: Arc::new(EngineMetrics::default()),
             force_full: Arc::new(AtomicBool::new(false)),
             buffers: Arc::new(BufferPool::default()),
-            // Inline engines recycle the slot before submit returns: a
-            // single slot double-buffers against nothing and suffices.
-            snaps: Arc::new(SnapshotSlots::new(1)),
-            // COW tickets need one extra slot: the trainer's capture guard
-            // pins the previous ticket until the next full replaces it, so
-            // two tickets alternate even though persists are inline.
-            cow: Arc::new(cow::CowTickets::new(2)),
-            snapshot_mode: cfg.snapshot,
+            // Inline engines capture eagerly and persist before submit
+            // returns: one ticket is all they ever hold.
+            cow: Arc::new(cow::CowTickets::new(1)),
+            session: false,
             pending: None,
             crash: cfg.crash,
             value_codec: cfg.value_codec,
@@ -365,15 +266,18 @@ impl CheckpointEngine {
         &self.store
     }
 
-    /// One-time warm-up before the first training iteration: in
-    /// incremental snapshot mode, pre-size (and page-touch) the COW
-    /// ticket pool for captures shaped like `state` + `aux`, so the first
-    /// anchors don't pay the pool's allocation and page-fault cost on the
-    /// training thread. Idempotent; a no-op in blocking mode.
-    pub fn prime_capture(&self, state: &ModelState, aux: &AuxView<'_>) {
-        if self.snapshot_mode == SnapshotMode::Incremental {
-            self.cow.prime(state, aux);
-        }
+    /// Open a capture session: until the next [`Self::flush`], full
+    /// checkpoints are captured **deferred** — `submit_full` only frames
+    /// them, and the caller's copy-on-write hooks plus the worker's sweep
+    /// fill the frame. The caller must take each capture via
+    /// [`Self::take_pending_capture`] right after submitting it and route
+    /// every later mutation of the captured state through its hooks (the
+    /// trainer does, between `prime` and `flush`). Inline engines ignore
+    /// this: their persist runs before submit returns, so they always
+    /// capture eagerly. No memory work happens here; the ticket pool
+    /// fills at the first anchor.
+    pub fn open_session(&mut self) {
+        self.session = self.job_tx.is_some();
     }
 
     /// Ask the policy's training-side gate (synchronous engines).
@@ -389,13 +293,13 @@ impl CheckpointEngine {
         self.crash.as_ref().is_some_and(|c| c.crashed())
     }
 
-    /// Submit a full snapshot of `state` + auxiliary training state (EF
-    /// residual, compressor identity, data-RNG cursor) without cloning:
-    /// everything is copied into a recycled, pre-sized snapshot slot (pure
-    /// `copy_from_slice` traffic in steady state — zero heap allocation
-    /// once the pool is primed on the first anchor), which the policy
-    /// returns to the engine after persisting via
-    /// [`EngineCtx::recycle_state`].
+    /// Submit a full checkpoint of `state` + auxiliary training state (EF
+    /// residual, compressor identity, data-RNG cursor), framed into a
+    /// pooled wire frame ([`CowTicket`]) that the worker seals and persists
+    /// as is. Outside a capture session ([`Self::open_session`]) the
+    /// calling thread copies the state into the frame before returning, so
+    /// the caller may mutate or free `state` right away; inside one the
+    /// copy is deferred to the caller's hooks and the worker's sweep.
     pub fn submit_full(
         &mut self,
         since: Instant,
@@ -408,32 +312,18 @@ impl CheckpointEngine {
                 delivered: false,
             };
         }
-        match self.snapshot_mode {
-            SnapshotMode::Blocking => {
-                let mut slot = self.snaps.get_primed(state, aux);
-                slot.capture(state, aux);
-                self.submit(since, Job::Full(slot))
-            }
-            SnapshotMode::Incremental => {
-                let mut ticket = self.cow.get_primed(state, aux);
-                Arc::get_mut(&mut ticket)
-                    .expect("pooled COW ticket must be exclusive")
-                    .reset(state, aux);
-                // A prior capture nobody picked up is completed from the
-                // live state before it is superseded (the caller contract
-                // says unhooked mutation hasn't happened yet).
-                if let Some(stale) = self.pending.replace(Arc::clone(&ticket)) {
-                    stale.cow_all();
-                }
-                self.submit(since, Job::IncrementalFull(ticket))
-            }
+        let ticket = self.cow.frame(state, aux);
+        if self.session {
+            self.pending = Some(Arc::clone(&ticket));
+        } else {
+            ticket.cow_all();
         }
+        self.submit(since, Job::Full(ticket))
     }
 
-    /// Hand the newest in-flight incremental capture to the adapter so the
-    /// training loop can drive its copy-on-write hooks (and complete it
-    /// before any unhooked mutation). `None` in blocking mode or when no
-    /// capture is pending.
+    /// Hand the newest deferred capture to the adapter so the training
+    /// loop can drive its copy-on-write hooks. `None` outside a capture
+    /// session or when no capture is pending.
     pub fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
         self.pending.take()
     }
@@ -479,7 +369,6 @@ impl CheckpointEngine {
                 force_full: &self.force_full,
                 metrics: &self.metrics,
                 buffers: &self.buffers,
-                snaps: &self.snaps,
                 cow: &self.cow,
                 crash: self.crash.as_deref(),
                 value_codec: &self.value_codec,
@@ -518,9 +407,12 @@ impl CheckpointEngine {
     }
 
     /// Block until all submitted work is durable (drains the queue, then
-    /// flushes the policy's partial batches). A crashed engine does not
-    /// flush: the dead process's buffered work is lost by definition.
+    /// flushes the policy's partial batches), and close the capture
+    /// session. A crashed engine does not flush: the dead process's
+    /// buffered work is lost by definition.
     pub fn flush(&mut self) -> Secs {
+        self.session = false;
+        self.pending = None;
         if self.crash_dead() {
             return Secs::ZERO;
         }
@@ -539,7 +431,6 @@ impl CheckpointEngine {
                 force_full: &self.force_full,
                 metrics: &self.metrics,
                 buffers: &self.buffers,
-                snaps: &self.snaps,
                 cow: &self.cow,
                 crash: self.crash.as_deref(),
                 value_codec: &self.value_codec,
@@ -566,7 +457,6 @@ impl CheckpointEngine {
                 force_full: &self.force_full,
                 metrics: &self.metrics,
                 buffers: &self.buffers,
-                snaps: &self.snaps,
                 cow: &self.cow,
                 crash: self.crash.as_deref(),
                 value_codec: &self.value_codec,
@@ -700,7 +590,6 @@ fn worker_loop(
     force_full: Arc<AtomicBool>,
     metrics: Arc<EngineMetrics>,
     buffers: Arc<BufferPool<u8>>,
-    snaps: Arc<SnapshotSlots>,
     cow: Arc<cow::CowTickets>,
     crash: Option<Arc<CrashInjector>>,
 ) {
@@ -711,7 +600,6 @@ fn worker_loop(
         force_full: &force_full,
         metrics: &metrics,
         buffers: &buffers,
-        snaps: &snaps,
         cow: &cow,
         crash: crash.as_deref(),
         value_codec: &value_codec,

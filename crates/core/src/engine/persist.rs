@@ -29,13 +29,9 @@
 use super::cow::{CowTicket, CowTickets};
 use super::crash::{CrashInjector, CrashPoint};
 use super::metrics::EngineMetrics;
-use super::policy::FullSnapshot;
 use super::tier::{AckMode, ObjectSink, TierBacking, TierStack};
-use super::SnapshotSlots;
 use crate::batched::BatchedWriter;
 use crate::strategy::StrategyStats;
-use lowdiff_compress::AuxView;
-use lowdiff_optim::ModelState;
 use lowdiff_storage::codec::{self, DiffEntry, ValueCodec};
 use lowdiff_storage::stripe::StripedData;
 use lowdiff_storage::{with_retry, CheckpointStore, RetryPolicy, StripeCfg, StripeManifest};
@@ -111,7 +107,6 @@ pub struct EngineCtx<'a> {
     pub(super) force_full: &'a AtomicBool,
     pub(super) metrics: &'a EngineMetrics,
     pub(super) buffers: &'a BufferPool<u8>,
-    pub(super) snaps: &'a SnapshotSlots,
     pub(super) cow: &'a CowTickets,
     pub(super) crash: Option<&'a CrashInjector>,
     pub(super) value_codec: &'a ValueCodec,
@@ -164,14 +159,6 @@ impl EngineCtx<'_> {
     /// Ask the training side to schedule an early full checkpoint.
     pub fn request_reanchor(&self) {
         self.force_full.store(true, Ordering::SeqCst);
-    }
-
-    /// Return a processed snapshot slot to the engine's recycle pool so
-    /// the next [`super::CheckpointEngine::submit_full`] reuses its
-    /// allocations instead of cloning. Policies call this once they no
-    /// longer need the state of a [`super::Job::Full`].
-    pub fn recycle_state(&self, snap: Box<FullSnapshot>) {
-        self.snaps.put(snap);
     }
 
     /// One store-backed tier's full-checkpoint write: the legacy
@@ -291,43 +278,21 @@ impl EngineCtx<'_> {
         }
     }
 
-    /// Encode a full checkpoint of `state` + `aux` once (v2 format: model
-    /// state plus EF residual / compressor / RNG cursor) and fan it across
-    /// the tier stack. Returns whether every synchronous tier landed it.
-    pub fn persist_full(
-        &mut self,
-        tiers: &TierStack,
-        state: &ModelState,
-        aux: &AuxView<'_>,
-        opts: &FullOpts,
-    ) -> bool {
+    /// Seal a completed capture's frame (its CRC — the encode stage) and
+    /// fan it across the tier stack. Owns the [`CrashPoint::PostEncode`]
+    /// boundary and all per-tier accounting/GC/re-anchor behavior. Returns
+    /// whether every synchronous tier landed it.
+    pub fn persist_full(&mut self, tiers: &TierStack, ticket: &CowTicket, opts: &FullOpts) -> bool {
         if self.crash_dead() {
             return false;
         }
         let t0 = Instant::now();
-        let mut bytes = self.buffers.get();
-        codec::encode_full_checkpoint_into(state, aux, &mut bytes);
+        ticket.seal();
         self.metrics.encode.record(t0.elapsed());
-        let ok = self.persist_full_encoded(tiers, state.iteration, &bytes, opts);
-        self.buffers.put(bytes);
-        ok
-    }
-
-    /// Fan an already-encoded full-checkpoint blob across the tier stack
-    /// (the post-encode half of [`Self::persist_full`], shared with the
-    /// incremental-capture path whose sealed ticket *is* the encoded
-    /// blob). Owns the [`CrashPoint::PostEncode`] boundary and all
-    /// per-tier accounting/GC/re-anchor behavior.
-    pub fn persist_full_encoded(
-        &mut self,
-        tiers: &TierStack,
-        iteration: u64,
-        bytes: &[u8],
-        opts: &FullOpts,
-    ) -> bool {
-        if self.crash_dead() || self.crash_hit(CrashPoint::PostEncode) {
+        if self.crash_hit(CrashPoint::PostEncode) {
             return false;
         }
+        let (iteration, bytes) = (ticket.iteration(), ticket.bytes());
         let written = bytes.len() as u64;
         let mut ok_overall = true;
         for tier in tiers.iter() {
@@ -397,13 +362,11 @@ impl EngineCtx<'_> {
         ok_overall
     }
 
-    /// Complete an incremental capture on the worker: sweep every chunk
-    /// the training thread's COW hooks haven't captured yet, fold the
-    /// capture telemetry into the engine metrics, then seal the frame's
-    /// CRC. Returns `false` — the ticket stays unsealed and nothing may
-    /// land — when the engine is dead or the armed
-    /// [`CrashPoint::MidCapture`] fires in the window where the frame is
-    /// assembled only in memory.
+    /// Complete a capture on the worker: sweep every chunk nobody has
+    /// captured yet and fold the capture telemetry into the engine
+    /// metrics. Returns `false` — nothing may land — when the engine is
+    /// dead or the armed [`CrashPoint::MidCapture`] fires in the window
+    /// where the frame is assembled only in memory.
     pub fn finish_capture(&mut self, ticket: &CowTicket) -> bool {
         if self.crash_dead() {
             return false;
@@ -415,47 +378,27 @@ impl EngineCtx<'_> {
             .sweep_chunks
             .fetch_add(swept, Ordering::Relaxed);
         self.metrics.capture.record(ticket.started().elapsed());
-        if self.crash_hit(CrashPoint::MidCapture) {
-            return false;
-        }
-        let t0 = Instant::now();
-        ticket.seal();
-        self.metrics.encode.record(t0.elapsed());
-        true
+        !self.crash_hit(CrashPoint::MidCapture)
     }
 
-    /// Complete an incremental capture and materialize it as a pooled
-    /// [`FullSnapshot`] — for policies that need the decoded model state
-    /// (Naïve DC's differential path), at the cost of losing the
-    /// streaming. Decode→re-encode of the v2 format is bit-exact, so the
-    /// byte-identity invariant survives the round trip.
-    pub fn complete_capture_into_snapshot(
-        &mut self,
-        ticket: &CowTicket,
-    ) -> Option<Box<FullSnapshot>> {
-        if !self.finish_capture(ticket) {
-            return None;
-        }
-        let fc = codec::decode_full_checkpoint(ticket.sealed_bytes()).ok()?;
-        let view = fc.aux.view();
-        let mut snap = self.snaps.get_primed(&fc.state, &view);
-        snap.capture(&fc.state, &view);
-        Some(snap)
-    }
-
-    /// Return a processed COW ticket to the engine's pool so the next
-    /// incremental anchor reuses its frame buffer. The ticket becomes
-    /// reusable once the submitter's pending handle is dropped too.
+    /// Return a processed ticket to the engine's pool so the next full
+    /// checkpoint reuses its frame buffer.
     pub fn release_ticket(&self, ticket: Arc<CowTicket>) {
         self.cow.put(ticket);
     }
 
-    /// [`CrashPoint::MidCapture`] check for strategies that capture their
-    /// fulls outside the ticket machinery (LowDiff+'s replica-side
-    /// snapshot copy): fires in the equivalent window between capture and
-    /// persist. `true` means the simulated process just died.
-    pub fn capture_interrupted(&self) -> bool {
-        self.crash_hit(CrashPoint::MidCapture)
+    /// A policy's whole full-checkpoint arm: complete the capture, seal
+    /// and fan it across `tiers`, release the ticket. Returns whether
+    /// every synchronous tier landed it.
+    pub fn persist_capture(
+        &mut self,
+        tiers: &TierStack,
+        ticket: Arc<CowTicket>,
+        opts: &FullOpts,
+    ) -> bool {
+        let ok = self.finish_capture(&ticket) && self.persist_full(tiers, &ticket, opts);
+        self.release_ticket(ticket);
+        ok
     }
 
     /// Encode the writer's buffered differential batch once and fan it
@@ -717,6 +660,8 @@ impl EngineCtx<'_> {
 mod tests {
     use super::*;
     use crate::engine::tier::{DurableTier, MemoryTier};
+    use lowdiff_compress::AuxView;
+    use lowdiff_optim::ModelState;
     use lowdiff_storage::{MemoryBackend, StorageBackend};
     use std::sync::Arc;
 
@@ -735,7 +680,6 @@ mod tests {
         let force_full = AtomicBool::new(false);
         let metrics = EngineMetrics::default();
         let buffers = BufferPool::default();
-        let snaps = SnapshotSlots::new(1);
         let cow = CowTickets::new(1);
         let mut cx = EngineCtx {
             retry: &retry,
@@ -744,7 +688,6 @@ mod tests {
             force_full: &force_full,
             metrics: &metrics,
             buffers: &buffers,
-            snaps: &snaps,
             cow: &cow,
             crash: None,
             value_codec: &ValueCodec::F32,
@@ -758,10 +701,13 @@ mod tests {
         with_stack(TierStack::durable(Arc::clone(&store)), store, f)
     }
 
-    fn state_at(iteration: u64) -> ModelState {
+    /// Capture a tiny state at `iteration` and persist it across `tiers`.
+    fn persist_at(cx: &mut EngineCtx<'_>, tiers: &TierStack, iteration: u64) -> bool {
         let mut st = ModelState::new(vec![1.0, 2.0, 3.0, 4.0]);
         st.iteration = iteration;
-        st
+        let ticket = cx.cow.frame(&st, &AuxView::NONE);
+        ticket.cow_all();
+        cx.persist_capture(tiers, ticket, &FullOpts::durable())
     }
 
     #[test]
@@ -786,12 +732,7 @@ mod tests {
         let stack = TierStack::new(vec![Arc::new(MemoryTier::new(Arc::clone(&mem), 2))]);
         let stats = with_stack(stack, Arc::clone(&mem), |cx, tiers, store| {
             for it in [3u64, 6, 9, 12] {
-                assert!(cx.persist_full(
-                    tiers,
-                    &state_at(it),
-                    &AuxView::NONE,
-                    &FullOpts::durable()
-                ));
+                assert!(persist_at(cx, tiers, it));
             }
             // Retention 2: always the newest two, oldest evicted first.
             assert_eq!(store.full_iterations().unwrap(), vec![9, 12]);
@@ -811,7 +752,7 @@ mod tests {
             Arc::new(DurableTier::new(Arc::clone(&dur))),
         ]);
         let stats = with_stack(stack, Arc::clone(&dur), |cx, tiers, _| {
-            assert!(cx.persist_full(tiers, &state_at(7), &AuxView::NONE, &FullOpts::durable()));
+            assert!(persist_at(cx, tiers, 7));
         });
         let key = CheckpointStore::full_key(7);
         assert_eq!(
@@ -857,7 +798,7 @@ mod tests {
         ]);
         let stats = with_stack(stack, Arc::clone(&good), |cx, tiers, _| {
             assert!(
-                cx.persist_full(tiers, &state_at(1), &AuxView::NONE, &FullOpts::durable()),
+                persist_at(cx, tiers, 1),
                 "an async tier's failure must not fail the persist"
             );
         });
@@ -875,7 +816,7 @@ mod tests {
     fn sync_tier_failure_fails_the_persist() {
         let bad = Arc::new(CheckpointStore::new(Arc::new(BlackholeBackend)));
         let stats = with_stack(TierStack::durable(Arc::clone(&bad)), bad, |cx, tiers, _| {
-            assert!(!cx.persist_full(tiers, &state_at(1), &AuxView::NONE, &FullOpts::durable()));
+            assert!(!persist_at(cx, tiers, 1));
         });
         assert_eq!(stats.io_errors, 1);
         assert!(stats.degraded);

@@ -4,83 +4,19 @@
 
 use super::cow::CowTicket;
 use super::persist::EngineCtx;
-use lowdiff_compress::{AuxView, CompressedGrad, CompressorCfg, QuantPolicyState};
-use lowdiff_optim::ModelState;
+use lowdiff_compress::{CompressedGrad, CompressorCfg};
 use std::sync::Arc;
-
-/// A full snapshot of everything resume needs: the model state plus the
-/// auxiliary training state (error-feedback residual, compressor identity,
-/// data-RNG cursor) that the v2 checkpoint format carries alongside it.
-///
-/// Pooled by the engine's snapshot slots: the residual buffer is recycled
-/// with the state buffers, so capturing aux state keeps the
-/// zero-steady-state-allocation property of the full-snapshot path.
-pub struct FullSnapshot {
-    pub state: ModelState,
-    /// Error-feedback residual at the snapshot instant (`len == Ψ` when
-    /// [`has_residual`](Self::has_residual); contents stale otherwise).
-    pub residual: Vec<f32>,
-    pub has_residual: bool,
-    pub compressor: Option<CompressorCfg>,
-    /// Data-RNG cursor: positioned to draw the seed of the iteration the
-    /// snapshot's `state.iteration` will execute next.
-    pub rng: Option<[u64; 4]>,
-    /// Adaptive precision-policy state at the snapshot instant, so a
-    /// resumed run re-enters the quantization state machine exactly.
-    pub quant: Option<QuantPolicyState>,
-}
-
-impl FullSnapshot {
-    pub(crate) fn empty() -> Self {
-        Self {
-            state: ModelState::new(Vec::new()),
-            residual: Vec::new(),
-            has_residual: false,
-            compressor: None,
-            rng: None,
-            quant: None,
-        }
-    }
-
-    /// Borrow the auxiliary state for encoding.
-    pub fn aux(&self) -> AuxView<'_> {
-        AuxView {
-            residual: self.has_residual.then_some(self.residual.as_slice()),
-            compressor: self.compressor,
-            rng: self.rng,
-            quant: self.quant,
-        }
-    }
-
-    /// Copy the live state + aux into this (recycled) snapshot's buffers.
-    pub(crate) fn capture(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.state.copy_from(state);
-        match aux.residual {
-            Some(r) => {
-                self.residual.clear();
-                self.residual.extend_from_slice(r);
-                self.has_residual = true;
-            }
-            None => self.has_residual = false,
-        }
-        self.compressor = aux.compressor;
-        self.rng = aux.rng;
-        self.quant = aux.quant;
-    }
-}
 
 /// One unit of checkpoint work flowing through the engine pipeline. The
 /// snapshot stage (training thread) produces jobs; the worker hands them
 /// to the policy, which encodes and persists through [`EngineCtx`].
 pub enum Job {
-    /// A full model + aux snapshot (already copied off the "GPU").
-    Full(Box<FullSnapshot>),
-    /// An in-flight incremental (copy-on-write) full capture: the frame
-    /// is already laid out at its wire offsets; the policy completes the
-    /// capture ([`EngineCtx::finish_capture`]) — sweeping cold chunks
-    /// while the training thread's COW hooks race it — then persists the
-    /// sealed bytes and releases the ticket back to the pool.
-    IncrementalFull(Arc<CowTicket>),
+    /// A full model + aux checkpoint, framed at its wire offsets. The
+    /// policy completes the capture ([`EngineCtx::finish_capture`] sweeps
+    /// whatever chunks are still cold), persists the sealed bytes and
+    /// releases the ticket back to the pool —
+    /// [`EngineCtx::persist_capture`] does all three.
+    Full(Arc<CowTicket>),
     /// A reused compressed gradient — LowDiff's zero-copy differential
     /// (the `Arc` is the IPC handle; cloning it is the only transmission).
     Diff {

@@ -35,9 +35,8 @@ pub use batched::{BatchMode, BatchedWriter};
 pub use config::{ConfigOptimizer, WastedTimeModel};
 pub use engine::{
     CheckpointEngine, CheckpointPolicy, CowRegion, CowTicket, CrashInjector, CrashPoint,
-    DurableTier, EngineConfig, EngineCounters, EngineCtx, FullOpts, FullSnapshot, Job, MemoryTier,
-    PeerTier, PolicyCtl, RecoveryTier, SnapshotMode, StageLatency, Tier, TierStack,
-    ALL_CRASH_POINTS, COW_CHUNK_ELEMS,
+    DurableTier, EngineConfig, EngineCounters, EngineCtx, FullOpts, Job, MemoryTier, PeerTier,
+    PolicyCtl, RecoveryTier, StageLatency, Tier, TierStack, ALL_CRASH_POINTS, COW_CHUNK_ELEMS,
 };
 pub use lowdiff::{LowDiffConfig, LowDiffStrategy};
 pub use lowdiff_compress::{AuxState, AuxView, CompressorCfg, CompressorKind};

@@ -7,7 +7,7 @@
 //! training thread                      checkpointing thread (CheckpointEngine)
 //! ───────────────                      ───────────────────────────────────────
 //! sync'd Ĝ_t ──Job::Diff(zero-copy)──▶ offload → BatchedWriter → C^B → store
-//! M_t (every FCF iters) ──Job::Full──▶ persist_full → C^F → store (+ GC)
+//! M_t (every FCF iters) ──Job::Full──▶ persist_capture → C^F → store (+ GC)
 //! ```
 //!
 //! The strategy is a thin adapter over [`crate::engine::CheckpointEngine`]:
@@ -18,12 +18,13 @@
 //! The training thread never waits for storage: its only costs are the
 //! `Arc` clone into the job queue (pointer-sized; backpressure only if the
 //! checkpointer lags by more than the queue capacity) and, every FCF
-//! iterations, one in-memory snapshot of the model state.
+//! iterations, framing the full checkpoint — plus, outside a capture
+//! session, one in-memory copy of the model state into that frame.
 
 use crate::batched::{BatchMode, BatchedWriter};
 use crate::engine::{
     CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, EngineConfig, EngineCtx,
-    FullOpts, Job, PolicyCtl, SnapshotMode, TierStack,
+    FullOpts, Job, PolicyCtl, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -63,10 +64,6 @@ pub struct LowDiffConfig {
     /// bit-exact recovery) or per-chunk quantized (v3, bounded-lossy,
     /// ~2–3× smaller diff writes at 8 bits).
     pub value_codec: ValueCodec,
-    /// Full-state capture mode: blocking copy (default) or incremental
-    /// copy-on-write ([`SnapshotMode::Incremental`] — requires the caller
-    /// to drive the COW hooks, as [`crate::trainer::Trainer`] does).
-    pub snapshot: SnapshotMode,
 }
 
 impl Default for LowDiffConfig {
@@ -81,7 +78,6 @@ impl Default for LowDiffConfig {
             stripe: StripeCfg::default(),
             crash: None,
             value_codec: ValueCodec::F32,
-            snapshot: SnapshotMode::Blocking,
         }
     }
 }
@@ -114,7 +110,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     cx.persist_batch(&self.tiers, &mut self.writer);
                 }
             }
-            Job::Full(snap) => {
+            Job::Full(ticket) => {
                 let opts = FullOpts {
                     // A full that never lands must be re-attempted soon:
                     // without it, a previously dropped batch would leave
@@ -122,27 +118,7 @@ impl CheckpointPolicy for LowDiffPolicy {
                     reanchor_on_failure: true,
                     keep_fulls: self.keep_fulls,
                 };
-                cx.persist_full(&self.tiers, &snap.state, &snap.aux(), &opts);
-                cx.recycle_state(snap);
-            }
-            Job::IncrementalFull(ticket) => {
-                let opts = FullOpts {
-                    reanchor_on_failure: true,
-                    keep_fulls: self.keep_fulls,
-                };
-                // Sweep the cold chunks (racing the trainer's COW hooks),
-                // seal, and stream the finished frame straight into the
-                // striped/tiered fan-out — same bytes the blocking path
-                // would have written.
-                if cx.finish_capture(&ticket) {
-                    cx.persist_full_encoded(
-                        &self.tiers,
-                        ticket.iteration(),
-                        ticket.sealed_bytes(),
-                        &opts,
-                    );
-                }
-                cx.release_ticket(ticket);
+                cx.persist_capture(&self.tiers, ticket, &opts);
             }
             Job::Dense { .. } => debug_assert!(false, "lowdiff submits compressed gradients"),
         }
@@ -204,7 +180,6 @@ impl LowDiffStrategy {
                 stripe: cfg.stripe,
                 crash: cfg.crash.clone(),
                 value_codec: cfg.value_codec,
-                snapshot: cfg.snapshot,
                 ..EngineConfig::default()
             },
         );
@@ -274,8 +249,8 @@ impl CheckpointStrategy for LowDiffStrategy {
         self.label
     }
 
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
+    fn prime(&mut self, _state: &ModelState, _aux: &AuxView<'_>) {
+        self.engine.open_session();
     }
 
     fn on_synced_gradient(
@@ -307,11 +282,12 @@ impl CheckpointStrategy for LowDiffStrategy {
             return Secs::ZERO;
         }
         let t0 = Instant::now();
-        // Snapshot: an in-memory copy into a recycled, pre-sized engine
-        // slot is the only blocking cost (no allocation in steady state);
-        // the write happens on the checkpointing thread. The aux state
-        // (EF residual, compressor, RNG cursor) rides along so the full
-        // is resume-exact, not just parameter-exact.
+        // Snapshot: frame the full into a recycled engine ticket (no
+        // allocation in steady state) and, outside a capture session, copy
+        // the state into it; the write happens on the checkpointing
+        // thread. The aux state (EF residual, compressor, RNG cursor)
+        // rides along so the full is resume-exact, not just
+        // parameter-exact.
         let sub = self.engine.submit_full(t0, state, aux);
         if sub.delivered {
             if forced {

@@ -29,12 +29,12 @@
 //! ([`LowDiffPlusStrategy::recover_hardware`]).
 
 use crate::engine::{
-    CheckpointEngine, CheckpointPolicy, CrashInjector, EngineConfig, EngineCtx, FullOpts, Job,
-    TierStack,
+    CheckpointEngine, CheckpointPolicy, CowTicket, CrashInjector, EngineConfig, EngineCtx,
+    FullOpts, Job, TierStack,
 };
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_comm::SyncPool;
-use lowdiff_compress::{AuxView, CompressorCfg};
+use lowdiff_compress::AuxView;
 use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::{CheckpointStore, RetryPolicy, StripeCfg};
 use lowdiff_util::units::Secs;
@@ -97,14 +97,10 @@ struct LowDiffPlusPolicy {
     replica: Arc<Mutex<ModelState>>,
     persist_every: u64,
     adam: Adam,
-    /// Reusable persist-time snapshot of the replica: `copy_from` into
-    /// this pre-sized slot replaces a fresh `clone()` every interval.
-    snap: ModelState,
-    /// Aux state belonging to `snap` (from the `Job::Dense` whose fusion
-    /// produced it) — persisted alongside so replica fulls are
-    /// resume-exact, not just parameter-exact.
-    snap_rng: Option<[u64; 4]>,
-    snap_compressor: Option<CompressorCfg>,
+    /// The replica's full-checkpoint frame, recaptured every interval:
+    /// capture and persist both run here, one at a time, so one frame is
+    /// all the policy ever needs.
+    frame: CowTicket,
     /// Returns consumed staged gradients to the adapter's staging pool so
     /// the per-iteration dense buffer is recycled, not reallocated.
     staging_pool: Arc<BufferPool<f32>>,
@@ -129,34 +125,30 @@ impl CheckpointPolicy for LowDiffPlusPolicy {
         let mut m_c = self.replica.lock();
         debug_assert_eq!(m_c.iteration, iteration, "replica fell out of step");
         m_c.apply_gradient(&self.adam, &grad); // update in CPU (line 12)
+                                               // Every `persist_every` iterations, capture the replica into its
+                                               // wire frame under the lock. The aux state comes from the
+                                               // `Job::Dense` whose fusion produced this replica, so the full is
+                                               // resume-exact, not just parameter-exact.
         let persist = m_c.iteration.is_multiple_of(self.persist_every);
         if persist {
-            self.snap.copy_from(&m_c);
-            self.snap_rng = rng;
-            self.snap_compressor = compressor;
+            let aux = AuxView {
+                residual: None, // the non-compression scenario has no EF
+                compressor,
+                rng,
+                quant: None, // no compression, so no precision policy
+            };
+            self.frame.reset(&m_c, &aux);
+            self.frame.cow_all();
         }
         drop(m_c); // never hold the replica lock across storage I/O
         self.staging_pool.put(grad); // recycle the staged dense buffer
         cx.with_stats(|s| s.diff_checkpoints += 1); // one in-memory ckpt per iter
-        if persist && cx.capture_interrupted() {
-            // Torture hook: LowDiff+ fulls never go through `submit_full`,
-            // so the MidCapture crash point fires here — between the
-            // replica snapshot and its persist, the same window the
-            // incremental path dies in.
-            return;
-        }
-        if persist {
-            // A persist that fails is skipped: the in-memory replica is
-            // still exact (software recovery unaffected); durable recovery
-            // falls back to the previous persisted full until the next
-            // interval lands. Hence no re-anchor request.
-            let aux = AuxView {
-                residual: None, // the non-compression scenario has no EF
-                compressor: self.snap_compressor,
-                rng: self.snap_rng,
-                quant: None, // no compression, so no precision policy
-            };
-            cx.persist_full(&self.tiers, &self.snap, &aux, &FullOpts::durable());
+                                                    // A persist that fails is skipped: the in-memory replica is still
+                                                    // exact (software recovery unaffected); durable recovery falls back
+                                                    // to the previous persisted full until the next interval lands.
+                                                    // Hence no re-anchor request.
+        if persist && cx.finish_capture(&self.frame) {
+            cx.persist_full(&self.tiers, &self.frame, &FullOpts::durable());
         }
     }
 }
@@ -200,9 +192,7 @@ impl LowDiffPlusStrategy {
             replica: Arc::clone(&replica),
             persist_every: cfg.persist_every,
             adam: cfg.adam,
-            snap: ModelState::new(Vec::new()),
-            snap_rng: None,
-            snap_compressor: None,
+            frame: CowTicket::empty(),
             staging_pool: Arc::clone(&staging_pool),
         };
         let engine = CheckpointEngine::spawn(
@@ -262,10 +252,6 @@ impl LowDiffPlusStrategy {
 impl CheckpointStrategy for LowDiffPlusStrategy {
     fn name(&self) -> &'static str {
         "lowdiff+"
-    }
-
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        self.engine.prime_capture(state, aux);
     }
 
     fn on_layer_gradient(

@@ -27,11 +27,12 @@
 //!   [`ShardedStrategy::unshardable_grads`] and persists nothing for that
 //!   iteration, leaving a gap that stitching would reject. Cluster mode
 //!   runs with Top-K or no compression.
-//! * **Blocking snapshots only.** Projected states are temporaries owned by
-//!   this wrapper for the duration of the hook; an incremental
-//!   (copy-on-write) capture sourcing from them would outlive the borrow.
-//!   Any capture the inner strategy starts is completed synchronously
-//!   before the hook returns, degrading incremental mode to blocking.
+//! * **Eager captures only.** Projected states are temporaries owned by
+//!   this wrapper for the duration of the hook; a deferred (copy-on-write)
+//!   capture sourcing from them would outlive the borrow. The wrapper
+//!   therefore never forwards `prime`: the inner engine stays outside a
+//!   capture session and copies each full into its frame before
+//!   `after_update` returns.
 
 use crate::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff_compress::{AuxView, CompressedGrad};
@@ -81,14 +82,6 @@ impl<S: CheckpointStrategy> ShardedStrategy<S> {
     pub fn unshardable_grads(&self) -> u64 {
         self.unshardable
     }
-
-    /// Complete any capture the inner strategy left in flight: the
-    /// projected buffers it sources from die with the current hook frame.
-    fn drain_capture(&mut self) {
-        if let Some(t) = self.inner.take_pending_capture() {
-            t.cow_all();
-        }
-    }
 }
 
 impl<S: CheckpointStrategy> CheckpointStrategy for ShardedStrategy<S> {
@@ -96,13 +89,8 @@ impl<S: CheckpointStrategy> CheckpointStrategy for ShardedStrategy<S> {
         "lowdiff-sharded"
     }
 
-    fn prime(&mut self, state: &ModelState, aux: &AuxView<'_>) {
-        let shard_state = self.spec.project_state(state);
-        let shard_aux = self.spec.project_aux(aux);
-        self.inner.prime(&shard_state, &shard_aux.view());
-    }
-
-    // `on_layer_gradient` is intentionally not forwarded: layer ranges
+    // Neither `prime` nor `take_pending_capture` is forwarded (see the
+    // module docs), and neither is `on_layer_gradient`: layer ranges
     // address the *global* flat gradient and carry no meaning inside a
     // shard-projected engine.
 
@@ -124,16 +112,7 @@ impl<S: CheckpointStrategy> CheckpointStrategy for ShardedStrategy<S> {
     fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
         let shard_state = self.spec.project_state(state);
         let shard_aux = self.spec.project_aux(aux);
-        let dt = self.inner.after_update(&shard_state, &shard_aux.view());
-        self.drain_capture();
-        dt
-    }
-
-    fn take_pending_capture(&mut self) -> Option<Arc<crate::engine::CowTicket>> {
-        // Drained in `after_update` while the projected sources were still
-        // alive; nothing may escape to the trainer's capture guard.
-        self.drain_capture();
-        None
+        self.inner.after_update(&shard_state, &shard_aux.view())
     }
 
     fn flush(&mut self) -> Secs {

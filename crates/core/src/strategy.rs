@@ -131,12 +131,17 @@ pub trait CheckpointStrategy: Send {
     /// Scheme name for reports.
     fn name(&self) -> &'static str;
 
-    /// One-time warm-up before the first training iteration. `state` and
-    /// `aux` have the shape every later capture will have; strategies
-    /// backed by a [`crate::engine::CheckpointEngine`] forward this to
-    /// [`crate::engine::CheckpointEngine::prime_capture`] so the capture
-    /// pools are sized (and their pages faulted in) off the anchor path.
-    /// Idempotent. Default: no-op.
+    /// Open a capture session before the first training iteration; the
+    /// next [`CheckpointStrategy::flush`] closes it. Inside a session the
+    /// strategy may defer its full-checkpoint copy: `after_update` only
+    /// frames the checkpoint and [`CheckpointStrategy::take_pending_capture`]
+    /// hands the ticket over to be filled by the caller's copy-on-write
+    /// hooks and the engine's sweep. A caller that primes must therefore
+    /// poll `take_pending_capture` after every `after_update` and honour
+    /// the ticket's contract ([`crate::engine::cow::CowTicket`]), as
+    /// [`crate::trainer::Trainer`] does; one that doesn't gets eager
+    /// captures, complete before `after_update` returns. Default: no-op
+    /// (the strategy always captures eagerly).
     fn prime(&mut self, _state: &ModelState, _aux: &AuxView<'_>) {}
 
     /// A layer's parameter gradient just became available during the
@@ -176,12 +181,11 @@ pub trait CheckpointStrategy: Send {
         Secs::ZERO
     }
 
-    /// Hand over the in-flight incremental (copy-on-write) capture started
-    /// by the last `after_update`, if any. The trainer polls this after
-    /// every update and drives the ticket's COW hooks until the capture
-    /// completes; strategies running their engine in
-    /// [`crate::engine::SnapshotMode::Blocking`] (the default) return
-    /// `None`. See [`crate::engine::cow::CowTicket`] for the contract.
+    /// Hand over the deferred capture started by the last `after_update`,
+    /// if any — only inside a capture session
+    /// ([`CheckpointStrategy::prime`]). The caller drives the ticket's COW
+    /// hooks until the capture completes; see
+    /// [`crate::engine::cow::CowTicket`] for the contract.
     fn take_pending_capture(&mut self) -> Option<Arc<CowTicket>> {
         None
     }

@@ -118,6 +118,28 @@ enum Comp {
     QuantEf(ErrorFeedback<AdaptiveQuant>),
 }
 
+impl Comp {
+    /// The auxiliary resume state a checkpoint taken now carries: the EF
+    /// residual, the compressor identity, the data cursor `rng` and the
+    /// precision-policy state.
+    fn aux<'a>(&'a self, cfg: CompressorCfg, rng: &DetRng) -> AuxView<'a> {
+        AuxView {
+            residual: match self {
+                Comp::Ef(c) => Some(c.residual()),
+                Comp::QuantEf(c) => Some(c.residual()),
+                _ => None,
+            },
+            compressor: Some(cfg),
+            rng: Some(rng.state()),
+            quant: match self {
+                Comp::Quant(q) => Some(q.policy_state()),
+                Comp::QuantEf(c) => Some(c.inner().policy_state()),
+                _ => None,
+            },
+        }
+    }
+}
+
 /// What one training run produced.
 #[derive(Clone, Debug)]
 pub struct TrainerReport {
@@ -167,12 +189,12 @@ pub struct ResumeReport {
     pub source: Option<String>,
 }
 
-/// The trainer's handle on an in-flight incremental (copy-on-write)
-/// snapshot capture. Completing the capture (`cow_all`) before the ticket's
-/// source buffers can be freed or replaced is a safety obligation, so the
-/// completion lives in `Drop` and the field is declared **first** in
-/// [`Trainer`]: it drops before `state`/`comp`/`strategy`, guaranteeing
-/// the engine's sweeper never touches freed memory.
+/// The trainer's handle on an in-flight deferred (copy-on-write) capture.
+/// Completing the capture (`cow_all`) before the ticket's source buffers
+/// can be freed or replaced is a safety obligation, so the completion
+/// lives in `Drop` and the field is declared **first** in [`Trainer`]: it
+/// drops before `state`/`comp`/`strategy`, guaranteeing the engine's
+/// sweeper never touches freed memory.
 #[derive(Default)]
 struct CaptureGuard {
     ticket: Option<Arc<CowTicket>>,
@@ -421,25 +443,10 @@ impl<S: CheckpointStrategy> Trainer<S> {
     where
         F: FnMut(&mut Network, u64, &mut DetRng) -> (f64, Tensor),
     {
-        // Warm the capture machinery before the first measured iteration:
-        // the aux view here has the exact shape every later capture will
-        // have (contents don't matter for pool sizing), so incremental
-        // engines can pre-size and page-touch their ticket pools without
-        // any anchor paying that one-time cost.
-        let aux = AuxView {
-            residual: match &self.comp {
-                Comp::Ef(c) => Some(c.residual()),
-                Comp::QuantEf(c) => Some(c.residual()),
-                _ => None,
-            },
-            compressor: Some(self.comp_cfg),
-            rng: Some(self.data_rng.state()),
-            quant: match &self.comp {
-                Comp::Quant(q) => Some(q.policy_state()),
-                Comp::QuantEf(c) => Some(c.inner().policy_state()),
-                _ => None,
-            },
-        };
+        // Open the strategy's capture session: until the flush below, full
+        // checkpoints are filled by the copy-on-write hooks in this loop
+        // and the engine's sweep instead of a copy on the training thread.
+        let aux = self.comp.aux(self.comp_cfg, &self.data_rng);
         self.strategy.prime(&self.state, &aux);
 
         let t_start = Instant::now();
@@ -487,20 +494,7 @@ impl<S: CheckpointStrategy> Trainer<S> {
             // The auxiliary resume state belonging to M_{t+1}: residual
             // after this compress, cursor after this draw, precision-policy
             // state after this interval's observation.
-            let aux = AuxView {
-                residual: match &self.comp {
-                    Comp::Ef(c) => Some(c.residual()),
-                    Comp::QuantEf(c) => Some(c.residual()),
-                    _ => None,
-                },
-                compressor: Some(self.comp_cfg),
-                rng: Some(self.data_rng.state()),
-                quant: match &self.comp {
-                    Comp::Quant(q) => Some(q.policy_state()),
-                    Comp::QuantEf(c) => Some(c.inner().policy_state()),
-                    _ => None,
-                },
-            };
+            let aux = self.comp.aux(self.comp_cfg, &self.data_rng);
 
             // Reuse point (Q.put) — zero-copy handle.
             self.strategy.on_synced_gradient(t, &handle, &aux);
@@ -531,8 +525,8 @@ impl<S: CheckpointStrategy> Trainer<S> {
                 None => self.state.apply_gradient(&self.adam, dense),
             }
             self.strategy.after_update(&self.state, &aux);
-            // An incremental full checkpoint may have just started: hold
-            // its ticket so the COW hooks above protect it from the next
+            // A deferred full checkpoint may have just started: hold its
+            // ticket so the COW hooks above protect it from the next
             // iterations' mutations while the engine sweeps cold chunks.
             if let Some(t) = self.strategy.take_pending_capture() {
                 self.capture.replace(t);

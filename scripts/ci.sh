@@ -29,11 +29,10 @@
 #                            calls fails here instead of in a bench run
 # 9. bench --smoke         — both benchmark binaries complete on a tiny
 #                            configuration (no JSON written); the e2e
-#                            bench runs four times — 1 and 4 persist
-#                            stripes (blocking snapshots), then with
-#                            incremental COW snapshots on, then with
-#                            adaptive quantization on — so the legacy,
-#                            striped, incremental-capture, quantized, and
+#                            bench runs three times — 1 and 4 persist
+#                            stripes, then with adaptive quantization
+#                            on — so the single-blob, striped, eager and
+#                            deferred capture, quantized, and
 #                            peer-replicated write paths are all
 #                            exercised end-to-end
 #
@@ -88,10 +87,6 @@ MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --stripes 1
 MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --stripes 4
-# Incremental copy-on-write snapshots end-to-end (the blocking runs above
-# are the "off" leg; every strategy does fulls through the COW ticket here).
-MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
-  target/release/bench_ckpt_e2e --smoke --snapshot-mode incremental
 MALLOC_MMAP_THRESHOLD_=134217728 MALLOC_TRIM_THRESHOLD_=134217728 \
   target/release/bench_ckpt_e2e --smoke --quant-bits 8 --adaptive --max-quant-err 2e-3 --peers 2
 

@@ -26,7 +26,7 @@ use lowdiff::engine::peer_recovery_stores;
 use lowdiff::{
     CheckpointStrategy, CrashInjector, CrashPoint, EngineConfig, LowDiffConfig, LowDiffPlusConfig,
     LowDiffPlusStrategy, LowDiffStrategy, NoCheckpoint, PeerReplicateStrategy, RecoverySource,
-    ResumeOpts, SnapshotMode, Trainer, TrainerConfig, ALL_CRASH_POINTS,
+    ResumeOpts, Trainer, TrainerConfig, ALL_CRASH_POINTS,
 };
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_comm::ReplicaNet;
@@ -57,17 +57,6 @@ fn arm_nth(point: CrashPoint, seed: u64) -> u64 {
         7
     };
     2 + DetRng::new(seed).next_u64() % span
-}
-
-/// MidCapture only exists on the incremental snapshot path, so those
-/// cells opt into it; every other cell keeps the default blocking
-/// snapshot, leaving the legacy cells' store layouts bit-identical.
-fn snapshot_mode(point: CrashPoint) -> SnapshotMode {
-    if point == CrashPoint::MidCapture {
-        SnapshotMode::Incremental
-    } else {
-        SnapshotMode::Blocking
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -132,10 +121,8 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
     } else {
         StripeCfg::default()
     };
-    let snapshot = snapshot_mode(point);
     let ecfg = || EngineConfig {
         stripe,
-        snapshot,
         crash: Some(Arc::clone(&injector)),
         ..EngineConfig::default()
     };
@@ -148,7 +135,6 @@ fn torture_cell(scheme: Scheme, point: CrashPoint, error_feedback: bool, cell_se
                 full_every: 6,
                 batch_size: 2,
                 stripe,
-                snapshot,
                 crash: Some(Arc::clone(&injector)),
                 ..LowDiffConfig::default()
             },
@@ -291,7 +277,6 @@ fn quant_torture_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
             full_every: 6,
             batch_size: 2,
             stripe,
-            snapshot: snapshot_mode(point),
             crash: Some(Arc::clone(&injector)),
             value_codec: ValueCodec::Quantized(QuantizedValues {
                 bits: 8,
@@ -392,7 +377,6 @@ fn rank_loss_cell(point: CrashPoint, error_feedback: bool, cell_seed: u64) {
             full_every: 6,
             batch_size: 2,
             stripe,
-            snapshot: snapshot_mode(point),
             crash: Some(Arc::clone(&injector)),
             ..LowDiffConfig::default()
         },
@@ -486,8 +470,8 @@ fn smoke_every_strategy_survives_a_torn_write() {
     }
 }
 
-/// CI smoke subset: every strategy survives dying mid-incremental-capture
-/// (the partially captured frame must vanish without a trace) and resumes
+/// CI smoke subset: every strategy survives dying mid-capture (the
+/// partially captured frame must vanish without a trace) and resumes
 /// bit-exactly, EF alternating across schemes.
 #[test]
 fn smoke_every_strategy_survives_a_mid_capture_crash() {
@@ -499,8 +483,7 @@ fn smoke_every_strategy_survives_a_mid_capture_crash() {
 /// The full matrix: {six strategies} × {six crash points} × {EF on/off}
 /// (LowDiff+ dense-only). 66 cells, each asserting bit-identical final
 /// parameters and Adam moments. MidStripe cells run the striped persist
-/// path, MidCapture cells the incremental (copy-on-write) snapshot path;
-/// all other cells keep the legacy single-blob blocking layout.
+/// path; all other cells keep the single-blob layout.
 #[test]
 fn torture_matrix_all_strategies_all_crash_points() {
     let mut cell = 0u64;

@@ -18,7 +18,7 @@ use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::CheckpointStrategy;
 use lowdiff::{
     AuxView, EngineConfig, NoCheckpoint, PeerReplicateStrategy, RecoverySource, ResumeOpts,
-    SnapshotMode, Trainer, TrainerConfig,
+    StrategyStats, Trainer, TrainerConfig,
 };
 use lowdiff_baselines::{CheckFreqStrategy, GeminiStrategy, NaiveDcStrategy, TorchSaveStrategy};
 use lowdiff_comm::ReplicaNet;
@@ -29,9 +29,11 @@ use lowdiff_model::loss::mse;
 use lowdiff_optim::{Adam, ModelState};
 use lowdiff_storage::codec::{self, DiffEntry};
 use lowdiff_storage::{stripe, CheckpointStore, MemoryBackend, StripeCfg};
+use lowdiff_util::units::Secs;
 use lowdiff_util::DetRng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 fn mem_store() -> Arc<CheckpointStore> {
@@ -455,13 +457,46 @@ fn check_mixed_version_chain(seed: u64, psi: usize, iters: u64, batch: usize) {
 
 // ------------------------------------------- striped persist equivalence
 
+/// Forwards every hook but `prime`, so the wrapped strategy never sees a
+/// capture session and captures each full checkpoint eagerly, before
+/// `after_update` returns.
+struct Eager(Box<dyn CheckpointStrategy>);
+
+impl CheckpointStrategy for Eager {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn on_layer_gradient(&mut self, t: u64, layer: usize, r: Range<usize>, g: &[f32]) -> Secs {
+        self.0.on_layer_gradient(t, layer, r, g)
+    }
+
+    fn on_synced_gradient(&mut self, t: u64, g: &Arc<CompressedGrad>, aux: &AuxView<'_>) -> Secs {
+        self.0.on_synced_gradient(t, g, aux)
+    }
+
+    fn after_update(&mut self, state: &ModelState, aux: &AuxView<'_>) -> Secs {
+        self.0.after_update(state, aux)
+    }
+
+    fn flush(&mut self) -> Secs {
+        self.0.flush()
+    }
+
+    fn stats(&self) -> StrategyStats {
+        self.0.stats()
+    }
+}
+
 /// Drive one strategy through a real [`Trainer`] run at the given stripe
-/// configuration and snapshot mode, returning the store it wrote. `scheme`
+/// configuration, returning the store it wrote. `deferred` runs it as the
+/// trainer does (inside a capture session, fulls filled by the COW hooks
+/// and the worker's sweep); otherwise it runs behind [`Eager`]. `scheme`
 /// indexes the same six schemes the torture matrix exercises.
 fn run_scheme(
     scheme: usize,
     stripe: StripeCfg,
-    snapshot: SnapshotMode,
+    deferred: bool,
     ef: bool,
     seed: u64,
 ) -> Arc<CheckpointStore> {
@@ -476,7 +511,6 @@ fn run_scheme(
     let network = mlp(&[4, 10, 2], 8);
     let ecfg = EngineConfig {
         stripe,
-        snapshot,
         ..EngineConfig::default()
     };
     let strat: Box<dyn CheckpointStrategy> = match scheme {
@@ -486,7 +520,6 @@ fn run_scheme(
                 full_every: 6,
                 batch_size: 2,
                 stripe,
-                snapshot,
                 ..LowDiffConfig::default()
             },
         )),
@@ -522,6 +555,11 @@ fn run_scheme(
             0.5,
             ecfg,
         )),
+    };
+    let strat = if deferred {
+        strat
+    } else {
+        Box::new(Eager(strat))
     };
     let task = Regression::new(4, 2, 7);
     let mut tr = Trainer::new(network, Adam::default(), strat, cfg);
@@ -591,20 +629,14 @@ fn check_striped_equivalence(scheme: usize, stripes: usize, seed: u64) {
         "naive-dc",
     ];
     let what = names[scheme];
-    let legacy = run_scheme(
-        scheme,
-        StripeCfg::default(),
-        SnapshotMode::Blocking,
-        false,
-        seed,
-    );
+    let legacy = run_scheme(scheme, StripeCfg::default(), false, false, seed);
     let striped = run_scheme(
         scheme,
         StripeCfg {
             stripes,
             min_stripe_bytes: 1, // toy model: stripe even tiny blobs
         },
-        SnapshotMode::Blocking,
+        false,
         false,
         seed,
     );
@@ -666,13 +698,14 @@ fn assert_resume_equal(
     }
 }
 
-// --------------------------------------- incremental snapshot equivalence
+// ------------------------------------- deferred vs eager capture equivalence
 
-/// The sacred invariant of the COW capture path: a full checkpoint captured
-/// incrementally (chunks copied by the update hook mid-step + swept by the
-/// worker) must be **byte-identical** to the blocking copy's encoded frame
-/// — same keys, same bytes, same resume — for every strategy, with and
-/// without error feedback (EF rewrites the residual the frame carries).
+/// The sacred invariant of the capture path: a full checkpoint captured
+/// incrementally (deferred: chunks copied by the update hook mid-step +
+/// swept by the worker) must be **byte-identical** to the one the
+/// submitter copies eagerly before `after_update` returns — same keys,
+/// same bytes, same resume — for every strategy, with and without error
+/// feedback (EF rewrites the residual the frame carries).
 fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
     let names = [
         "lowdiff",
@@ -684,10 +717,10 @@ fn check_incremental_equivalence(scheme: usize, ef: bool, seed: u64) {
     ];
     let what = names[scheme];
     let stripe = StripeCfg::default();
-    let blocking = run_scheme(scheme, stripe, SnapshotMode::Blocking, ef, seed);
-    let incremental = run_scheme(scheme, stripe, SnapshotMode::Incremental, ef, seed);
-    assert_stores_identical(&incremental, &blocking, what);
-    assert_resume_equal(&incremental, &blocking, scheme, ef, seed, what);
+    let eager = run_scheme(scheme, stripe, false, ef, seed);
+    let deferred = run_scheme(scheme, stripe, true, ef, seed);
+    assert_stores_identical(&deferred, &eager, what);
+    assert_resume_equal(&deferred, &eager, scheme, ef, seed, what);
 }
 
 // ------------------------------------------------------------------ tests
@@ -721,9 +754,9 @@ fn all_strategies_striped_matches_single_blob() {
     }
 }
 
-/// Incremental COW capture is byte-invisible: every strategy's store after
-/// an incremental-snapshot run is identical to its blocking-snapshot run,
-/// with and without error feedback.
+/// Incremental (deferred) COW capture is byte-invisible: every strategy's
+/// store after a trainer run is identical to the same run captured
+/// eagerly (blocking the submitter), with and without error feedback.
 #[test]
 fn all_strategies_incremental_matches_blocking() {
     for scheme in 0..6 {
@@ -879,8 +912,8 @@ proptest! {
         check_striped_equivalence(scheme, stripes, seed);
     }
 
-    /// COW-captured full checkpoints are byte-identical to the blocking
-    /// copy's for every strategy and either error-feedback setting.
+    /// Deferred (COW) full checkpoints are byte-identical to eager ones
+    /// for every strategy and either error-feedback setting.
     #[test]
     fn incremental_snapshot_is_byte_identical(
         scheme in 0usize..6,
