@@ -2,7 +2,7 @@
 //! encode/decode with CRC (the serialization on every persist path).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lowdiff_compress::{Compressor, TopK};
+use lowdiff_compress::{AuxView, Compressor, TopK};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::codec;
 use lowdiff_util::DetRng;
@@ -19,11 +19,11 @@ fn bench_codec(c: &mut Criterion) {
 
     group.throughput(Throughput::Bytes((psi * 12) as u64));
     group.bench_function("encode_full_1m", |b| {
-        b.iter(|| black_box(codec::encode_model_state(&st)))
+        b.iter(|| black_box(codec::encode_full_checkpoint(&st, &AuxView::NONE)))
     });
-    let bytes = codec::encode_model_state(&st);
+    let bytes = codec::encode_full_checkpoint(&st, &AuxView::NONE);
     group.bench_function("decode_full_1m", |b| {
-        b.iter(|| black_box(codec::decode_model_state(&bytes).unwrap()))
+        b.iter(|| black_box(codec::decode_full_checkpoint(&bytes).unwrap()))
     });
 
     let mut g = vec![0.0f32; psi];

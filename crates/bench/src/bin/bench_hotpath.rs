@@ -23,7 +23,7 @@
 
 use lowdiff_bench::print_table;
 use lowdiff_comm::WorkerGroup;
-use lowdiff_compress::TopK;
+use lowdiff_compress::{AuxView, TopK};
 use lowdiff_optim::{Adam, AdamState, ModelState};
 use lowdiff_storage::codec;
 use lowdiff_util::crc::{crc32, crc32_bytewise};
@@ -121,28 +121,28 @@ fn main() {
         rng.fill_normal_f32(&mut st.opt.v, 0.01);
 
         let base = time_best(reps, || codec::reference::encode_model_state(&st));
-        let opt = time_best(reps, || codec::encode_model_state(&st));
+        let opt = time_best(reps, || codec::encode_full_checkpoint(&st, &AuxView::NONE));
         results.push(BenchResult {
             name: "codec_encode",
             what: "full checkpoint serialize (3 x elems f32)",
             baseline_secs: base,
             optimized_secs: opt,
-            pool_sweep: sweep_pool(reps, || codec::encode_model_state(&st)),
+            pool_sweep: sweep_pool(reps, || codec::encode_full_checkpoint(&st, &AuxView::NONE)),
         });
 
         // The reference decoder predates the v2 full format, so the decode
         // comparison runs on a v1 blob both decoders accept.
-        let bytes = codec::encode_model_state_v1(&st);
+        let bytes = codec::reference::encode_model_state(&st);
         let base = time_best(reps, || {
             codec::reference::decode_model_state(&bytes).unwrap()
         });
-        let opt = time_best(reps, || codec::decode_model_state(&bytes).unwrap());
+        let opt = time_best(reps, || codec::decode_full_checkpoint(&bytes).unwrap());
         results.push(BenchResult {
             name: "codec_decode",
             what: "full checkpoint deserialize",
             baseline_secs: base,
             optimized_secs: opt,
-            pool_sweep: sweep_pool(reps, || codec::decode_model_state(&bytes).unwrap()),
+            pool_sweep: sweep_pool(reps, || codec::decode_full_checkpoint(&bytes).unwrap()),
         });
 
         let base = time_best(reps, || crc32_bytewise(&bytes));

@@ -6,7 +6,7 @@
 //! (validating that the codec's sizes match the arithmetic).
 
 use lowdiff_bench::{bytes, compare, print_table};
-use lowdiff_compress::{Compressor, TopK};
+use lowdiff_compress::{AuxView, Compressor, TopK};
 use lowdiff_model::zoo::{all_models, by_name};
 use lowdiff_optim::ModelState;
 use lowdiff_storage::{codec, CheckpointStore, MemoryBackend};
@@ -68,7 +68,7 @@ fn main() {
     let mut st = ModelState::new((0..psi).map(|_| rng.normal() as f32).collect());
     rng.fill_normal_f32(&mut st.opt.m, 0.1);
     rng.fill_normal_f32(&mut st.opt.v, 0.01);
-    let full_bytes = codec::encode_model_state(&st).len();
+    let full_bytes = codec::encode_full_checkpoint(&st, &AuxView::NONE).len();
 
     let mut grad = vec![0.0f32; psi];
     rng.fill_normal_f32(&mut grad, 1.0);

@@ -17,6 +17,7 @@
 
 use lowdiff::recovery::{recover_serial, recover_sharded};
 use lowdiff::ResumePlan;
+use lowdiff_compress::AuxView;
 use lowdiff_optim::Adam;
 use lowdiff_storage::{codec, CheckpointStore, DiskBackend};
 use std::io::Write;
@@ -180,7 +181,7 @@ fn cmd_validate(dir: &str) {
             continue;
         };
         let ok = if key.starts_with("full-") {
-            codec::decode_model_state(&bytes).is_ok()
+            codec::decode_full_checkpoint(&bytes).is_ok()
         } else if key.starts_with("diff-") {
             codec::decode_diff_batch(&bytes).is_ok()
         } else {
@@ -216,7 +217,7 @@ fn cmd_recover(dir: &str, shards: usize, out: Option<&str>) {
                 report.elapsed
             );
             if let Some(path) = out {
-                let bytes = codec::encode_model_state(&state);
+                let bytes = codec::encode_full_checkpoint(&state, &AuxView::NONE);
                 or_die("write output", std::fs::write(path, &bytes));
                 out!("wrote {} to {path}", fmt_bytes(bytes.len()));
             }

@@ -8,7 +8,7 @@
 //! [`lowdiff_storage::codec::full_frame_layout`]), so capture **is** the
 //! encode: once the last chunk lands the worker seals the CRC and hands
 //! the finished blob to the striped/tiered persist fan-out. The sealed
-//! blob is **byte-identical** to what `encode_full_checkpoint_into`
+//! blob is **byte-identical** to what `encode_full_checkpoint`
 //! produces from the state at the submit instant.
 //!
 //! Who copies the chunks is decided by the engine's capture session (see
@@ -151,7 +151,7 @@ impl CowTicket {
         let psi = state.params.len();
         let buf = self.buf.get_mut();
         let layout: FullFrameLayout =
-            codec::reframe_full_frame_into(state.iteration, state.opt.t, psi, aux, buf);
+            codec::encode_full_frame_into(state.iteration, state.opt.t, psi, aux, buf);
         let map = ChunkMap::new(psi, COW_CHUNK_ELEMS);
         let chunks_per_region = map.num_chunks();
         // The region list is rebuilt in place (≤ 4 entries, capacity kept

@@ -570,11 +570,9 @@ mod tests {
         let tier = PeerTier::new(Arc::clone(&net), 0, 1);
         // Replicate an encoded full exactly as the engine would.
         let state = ModelState::new(vec![1.0, 2.0, 3.0]);
-        let mut bytes = Vec::new();
-        lowdiff_storage::codec::encode_full_checkpoint_into(
+        let bytes = lowdiff_storage::codec::encode_full_checkpoint(
             &state,
             &lowdiff_compress::AuxView::NONE,
-            &mut bytes,
         );
         tier.put_object(&CheckpointStore::full_key(0), &bytes);
         let sources = peer_recovery_stores(&net, 0);

@@ -165,7 +165,7 @@ fn auxless_v1_blob_is_lossy() {
     let mut state = ModelState::new(vec![0.5; psi]);
     state.iteration = 3;
     store
-        .put_full(3, &codec::encode_model_state_v1(&state))
+        .put_full(3, &codec::reference::encode_model_state(&state))
         .unwrap();
     let mut topk = TopK::new(0.2);
     let chain: Vec<DiffEntry> = (3..5)

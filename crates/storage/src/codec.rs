@@ -1,69 +1,90 @@
-//! Versioned binary checkpoint format with CRC32 integrity.
+//! Versioned binary storage records with CRC32 integrity: full checkpoints
+//! (LDFC) and differential batches (LDDB), plus the one bounds-checked read
+//! cursor, CRC seal and open step that every storage record decodes through
+//! — the stripe manifest (LDSM, `crate::stripe`) and the global manifest
+//! (LDGM, `crate::shard`) included.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! full checkpoint (v1 and v2)   diff batch (v1 and v2)
-//! ┌────────────────────────┐    ┌──────────────────────┐
-//! │ magic "LDFC"           │    │ magic "LDDB"         │
-//! │ version u16 (1 or 2)   │    │ version u16 (1 or 2) │
-//! │ iteration u64          │    │ count u32            │
-//! │ psi u64                │    │ count × {            │
-//! │ adam_t u64             │    │   iteration u64      │
-//! │ params  f32×Ψ          │    │   CompressedGrad     │
-//! │ adam_m  f32×Ψ          │    │ }                    │
-//! │ adam_v  f32×Ψ          │    │ crc32 u32            │
-//! │ — v2 only —            │    └──────────────────────┘
-//! │ aux flags u8           │
-//! │ [compressor cfg]       │
-//! │ [rng cursor 4×u64]     │
-//! │ [residual f32×Ψ]       │
-//! │ crc32 u32              │
-//! └────────────────────────┘
+//! full checkpoint                  diff batch
+//! ┌──────────────────────────┐     ┌──────────────────────────┐
+//! │ magic "LDFC"             │     │ magic "LDDB"             │
+//! │ version u16 (1 or 2)     │     │ version u16 (1, 2 or 3)  │
+//! │ iteration u64            │     │ count u32                │
+//! │ psi u64                  │     │ count × {                │
+//! │ adam_t u64               │     │   iteration u64          │
+//! │ params  f32×Ψ            │     │   tag u8 + gradient      │
+//! │ adam_m  f32×Ψ            │     │ }                        │
+//! │ adam_v  f32×Ψ            │     │ crc32 u32                │
+//! │ — v2 aux trailer —       │     └──────────────────────────┘
+//! │ aux flags u8             │
+//! │ [compressor cfg]         │
+//! │ [rng cursor 4×u64]       │
+//! │ [residual f32×Ψ]         │
+//! │ [quant policy]           │
+//! │ crc32 u32                │
+//! └──────────────────────────┘
 //! ```
 //!
-//! Full checkpoints are **written as v2** and decoded as either version.
-//! v2 appends the auxiliary training state that makes resume bit-exact
-//! (see `lowdiff_compress::aux`): a flags byte (bit 0 = error-feedback
-//! residual present, bit 1 = compressor config, bit 2 = RNG cursor)
-//! followed by the present sections in flag-bit order — compressor
-//! (kind u8, ratio f64, bits u8), RNG (4 × u64 state words), residual
-//! (Ψ × f32). A v1 blob decodes with no aux and the *lossy* flag set:
-//! resume still works, but an error-feedback run restarts its residual
-//! from zero and may diverge from the uninterrupted run.
+//! ## Compatibility policy
 //!
-//! Diff batches are **written as v2 or v3** (chosen by [`ValueCodec`]) and
-//! decoded as any version; mixed-version chains recover cleanly. v1 stores
-//! `nnz` raw little-endian `u32` sparse indices; v2 exploits that Top-K
-//! indices are sorted strictly increasing and stores them as LEB128 varint
-//! **deltas** (`idx[0], idx[1]-idx[0], …`). At ~1% density the average gap
-//! is ~100, so almost every delta fits one byte instead of four — roughly
-//! 2–3× fewer bytes per diff batch. Values stay bulk-LE `f32` in v1/v2.
+//! **Write the current version only; decode v1 and later.** Full
+//! checkpoints are written as v2, diff batches as v2 or v3 (chosen by
+//! [`ValueCodec`]). Nothing in this module writes v1: only [`reference`],
+//! the per-element oracle for tests and benches, can still produce it. The
+//! golden blobs committed under `tests/golden/` pin the bytes of every
+//! version the decoders accept, so a writer and a reader changed in
+//! lockstep fail a test instead of silently changing the format.
 //!
-//! **v3** keeps the v2 index encoding but quantizes the value plane per
-//! [`QUANT_CHUNK`]-element chunk: each chunk opens with a width byte
-//! (4, 8, 16, or 32 = f32 passthrough) and, when quantized, an
-//! `lo f32, scale f32` header followed by codes packed at that width
-//! (4-bit pairs low-nibble-first, 8-bit bytes, 16-bit LE). Width is chosen
-//! statelessly from the chunk's value range against the configured error
-//! bound (see [`QuantizedValues`]), so re-encoding identical values is
-//! deterministic. Already-quantized `Quant` records stay tag-1 and
-//! lossless in every version — gradient-replay determinism depends on it.
+//! ## Versions
 //!
-//! The CRC covers every preceding byte; a checkpoint that fails its CRC (a
-//! torn write at failure time) is treated as absent during recovery.
+//! A **v2 full checkpoint** appends the auxiliary training state that makes
+//! resume bit-exact (see `lowdiff_compress::aux`): a flags byte (bit 0 =
+//! error-feedback residual, bit 1 = compressor config, bit 2 = RNG cursor,
+//! bit 3 = quant policy) followed by the present sections in wire order —
+//! compressor (kind u8, ratio f64, bits u8), RNG (4 × u64 state words),
+//! residual (Ψ × f32), quant policy (4 × u8, max_err f32). A v1 blob
+//! decodes with no aux and the *lossy* flag set: resume still works, but an
+//! error-feedback run restarts its residual from zero and may diverge from
+//! the uninterrupted run.
+//!
+//! **Diff batches** decode as any version, so mixed-version chains recover
+//! cleanly. v1 stores `nnz` raw `u32` sparse indices; v2 exploits that
+//! Top-K indices are strictly increasing and stores them as LEB128 varint
+//! **deltas** (`idx[0], idx[1]-idx[0], …`) — at ~1% density almost every
+//! delta fits one byte instead of four. Values stay bulk `f32` in v1/v2.
+//! **v3** keeps the v2 indices but quantizes the value plane per
+//! [`QUANT_CHUNK`]-element chunk: each chunk opens with a width byte (4, 8,
+//! 16, or 32 = f32 passthrough) and, when quantized, an `lo f32, scale f32`
+//! header followed by codes packed at that width (4-bit pairs
+//! low-nibble-first, 8-bit bytes, 16-bit LE). Width is chosen statelessly
+//! from the chunk's value range against the configured error bound (see
+//! [`QuantizedValues`]), so re-encoding identical values is deterministic.
+//! Already-quantized `Quant` records (tag 1) stay lossless in every version
+//! — gradient-replay determinism depends on it.
+//!
+//! ## Decoding untrusted bytes
+//!
+//! Every decoder opens its blob the same way: CRC, then magic, then version
+//! against the accepted set. A CRC failure (a torn write at failure time)
+//! makes recovery treat the blob as absent. A blob that passes its CRC may
+//! still be malformed, so every read past the header goes through the one
+//! `Cursor`: element-count fields are rejected unless the remaining bytes
+//! could hold that many elements, and every length × element-size product
+//! is checked. A decoder returns `Err` — it never panics and never
+//! allocates more than its input can back.
 //!
 //! ## Hot-path encoding
 //!
-//! `f32`/`u32` arrays dominate the payload (3Ψ floats for a full
-//! checkpoint). They are moved as **single bulk byte copies** on
-//! little-endian targets — the in-memory representation already *is* the
-//! wire format — instead of one `to_le_bytes` round per element; big-endian
-//! targets fall back to the per-element loop. Sealing appends the CRC in
-//! place (no copy of the payload), and decoding parses borrowed slices (no
-//! upfront copy of the input). The pre-bulk per-element implementation is
-//! retained in [`reference`] so property tests can assert byte-identical
-//! output and `bench_hotpath` can measure the gap.
+//! `f32` arrays dominate the payload (3Ψ floats for a full checkpoint).
+//! They are moved as **single bulk byte copies** on little-endian targets —
+//! the in-memory representation already *is* the wire format — instead of
+//! one `to_le_bytes` round per element; big-endian targets fall back to the
+//! per-element loop. Sealing appends the CRC in place (no copy of the
+//! payload), and decoding parses borrowed slices (no upfront copy of the
+//! input). The pre-bulk per-element implementation is retained in
+//! [`reference`] so `bench_hotpath` can measure the gap.
 
 use lowdiff_compress::{
     AuxState, AuxView, CompressedGrad, CompressorCfg, CompressorKind, QuantGrad, QuantPolicyState,
@@ -74,6 +95,7 @@ use lowdiff_util::crc::crc32;
 
 pub const MAGIC_FULL: &[u8; 4] = b"LDFC";
 pub const MAGIC_DIFF: &[u8; 4] = b"LDDB";
+/// Legacy v1 of both records: decoded, never written (see [`reference`]).
 pub const VERSION: u16 = 1;
 /// Diff-batch v2 format: varint-delta sparse indices, raw f32 values.
 pub const DIFF_VERSION_V2: u16 = 2;
@@ -83,6 +105,9 @@ pub const DIFF_VERSION_V2: u16 = 2;
 pub const DIFF_VERSION_V3: u16 = 3;
 /// Current full-checkpoint write format: ModelState + auxiliary state.
 pub const FULL_VERSION_V2: u16 = 2;
+
+const FULL_VERSIONS: [u16; 2] = [VERSION, FULL_VERSION_V2];
+const DIFF_VERSIONS: [u16; 3] = [VERSION, DIFF_VERSION_V2, DIFF_VERSION_V3];
 
 /// Elements per v3 value-block chunk. Each chunk carries its own width
 /// byte and (when quantized) lo/scale header, so the width adapts to the
@@ -96,6 +121,11 @@ const AUX_FLAG_RNG: u8 = 1 << 2;
 const AUX_FLAG_QUANT_POLICY: u8 = 1 << 3;
 const AUX_FLAGS_KNOWN: u8 =
     AUX_FLAG_RESIDUAL | AUX_FLAG_COMPRESSOR | AUX_FLAG_RNG | AUX_FLAG_QUANT_POLICY;
+
+/// magic(4) + version(2) + iteration(8) + psi(8) + adam_t(8).
+const FULL_HEADER_LEN: usize = 30;
+/// The smallest diff entry: iteration u64 + grad tag u8.
+const MIN_DIFF_ENTRY_LEN: usize = 9;
 
 /// v3 per-chunk value quantization parameters — the codec half of the
 /// adaptive precision policy. `bits` is the preferred width; when
@@ -120,8 +150,7 @@ pub struct QuantizedValues {
 /// format) or per-chunk quantized (v3, lossy but bounded).
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ValueCodec {
-    /// Raw little-endian f32 values — writes `DIFF_VERSION_V2`,
-    /// byte-identical to the pre-v3 encoder.
+    /// Raw little-endian f32 values — writes `DIFF_VERSION_V2`.
     #[default]
     F32,
     /// Per-chunk quantized values — writes `DIFF_VERSION_V3`.
@@ -163,22 +192,17 @@ fn put_u16(buf: &mut Vec<u8>, v: u16) {
 }
 
 #[inline]
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 #[inline]
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 #[inline]
 fn put_f32(buf: &mut Vec<u8>, v: f32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-#[inline]
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -189,23 +213,6 @@ fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
         // Safety: f32 has no padding bytes and u8 has alignment 1, so
         // viewing an initialized f32 slice as bytes is always valid; on a
         // little-endian target the in-memory byte order is the wire order.
-        let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len() * 4) };
-        buf.extend_from_slice(bytes);
-    }
-    #[cfg(target_endian = "big")]
-    {
-        buf.reserve(xs.len() * 4);
-        for &x in xs {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-}
-
-/// Append `xs` in little-endian order: one memcpy on LE targets.
-fn put_u32s(buf: &mut Vec<u8>, xs: &[u32]) {
-    #[cfg(target_endian = "little")]
-    {
-        // Safety: same argument as `put_f32s`.
         let bytes = unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), xs.len() * 4) };
         buf.extend_from_slice(bytes);
     }
@@ -233,12 +240,21 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-// --- read helpers (borrowed cursor, no input copy) -------------------------
+/// Append the CRC of everything written so far — in place, no payload
+/// copy. Every storage record ends with this seal.
+pub(crate) fn seal_into(buf: &mut Vec<u8>) {
+    let crc = crc32(buf);
+    put_u32(buf, crc);
+}
 
-/// Borrowing read cursor. Getters return `Err(Corrupt)` on underflow so a
-/// record that passes its CRC but is structurally malformed fails decoding
-/// instead of panicking.
-struct Cursor<'a> {
+// --- the read side: one cursor, one open step -------------------------------
+
+/// Borrowing read cursor over a record body. Every getter returns
+/// `Err(Corrupt)` on underflow, count fields are bounded by the bytes left
+/// and length products are checked, so a record that passes its CRC but is
+/// structurally malformed fails decoding instead of panicking or sizing an
+/// allocation its input cannot back.
+pub(crate) struct Cursor<'a> {
     data: &'a [u8],
 }
 
@@ -251,8 +267,13 @@ impl<'a> Cursor<'a> {
         self.data.len()
     }
 
-    fn has_remaining(&self) -> bool {
-        !self.data.is_empty()
+    /// Every record is read to its last byte: anything left is corrupt.
+    pub(crate) fn finish(&self, what: &'static str) -> Result<(), CodecError> {
+        if self.data.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Corrupt(what))
+        }
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
@@ -264,28 +285,69 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
+    /// `n` elements of `size` bytes each; the length product is checked.
+    fn take_elems(
+        &mut self,
+        n: usize,
+        size: usize,
+        what: &'static str,
+    ) -> Result<&'a [u8], CodecError> {
+        let len = n.checked_mul(size).ok_or(CodecError::Corrupt(what))?;
+        self.take(len, what)
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        let (head, tail) = self
+            .data
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Corrupt(what))?;
+        self.data = tail;
+        Ok(*head)
+    }
+
     fn get_u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.array::<1>(what)?[0])
     }
 
     fn get_u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
+        self.array(what).map(u16::from_le_bytes)
     }
 
-    fn get_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+    pub(crate) fn get_u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
+        self.array(what).map(u32::from_le_bytes)
     }
 
-    fn get_u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+    pub(crate) fn get_u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
+        self.array(what).map(u64::from_le_bytes)
     }
 
     fn get_f32(&mut self, what: &'static str) -> Result<f32, CodecError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
+        self.array(what).map(f32::from_le_bytes)
     }
 
     fn get_f64(&mut self, what: &'static str) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// A `u64` length field as a `usize`.
+    fn get_len(&mut self, what: &'static str) -> Result<usize, CodecError> {
+        usize::try_from(self.get_u64(what)?).map_err(|_| CodecError::Corrupt(what))
+    }
+
+    /// A `u32` element count, accepted only if the remaining bytes could
+    /// hold that many elements of at least `min_size` bytes each — the
+    /// bound that keeps a count field from sizing an allocation its blob
+    /// cannot back.
+    pub(crate) fn get_count(
+        &mut self,
+        min_size: usize,
+        what: &'static str,
+    ) -> Result<usize, CodecError> {
+        let n = self.get_u32(what)? as usize;
+        match n.checked_mul(min_size) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(CodecError::Corrupt(what)),
+        }
     }
 
     /// Decode an LEB128 varint. Rejects encodings longer than 10 bytes (the
@@ -302,78 +364,74 @@ impl<'a> Cursor<'a> {
         }
         Err(CodecError::Corrupt("varint overflow"))
     }
+
+    /// Bulk-decode `n` little-endian f32s.
+    fn get_f32s(&mut self, n: usize, what: &'static str) -> Result<Vec<f32>, CodecError> {
+        let bytes = self.take_elems(n, 4, what)?;
+        let mut out = Vec::with_capacity(n);
+        extend_f32s(&mut out, bytes);
+        Ok(out)
+    }
 }
 
-/// Bulk-decode `n` little-endian f32s: one memcpy on LE targets.
-fn take_f32s(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
-    let bytes = cur.take(n * 4, "truncated f32 array")?;
+/// Append the little-endian f32s in `bytes` (a multiple of 4 long): one
+/// memcpy on LE targets.
+fn extend_f32s(out: &mut Vec<f32>, bytes: &[u8]) {
+    let n = bytes.len() / 4;
     #[cfg(target_endian = "little")]
     {
-        let mut out: Vec<f32> = Vec::with_capacity(n);
-        // Safety: `bytes` holds exactly n*4 initialized bytes; copying them
-        // into the f32 buffer is a valid bit-reinterpretation on LE, and
-        // `set_len` only exposes the freshly written prefix.
+        out.reserve(n);
+        // SAFETY: `reserve` made room for n more f32s past `len`; `bytes`
+        // holds n*4 initialized bytes, and copying them into the f32
+        // buffer is a valid bit-reinterpretation on LE. `set_len` only
+        // exposes the freshly written elements.
         unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 4);
-            out.set_len(n);
+            let dst = out.as_mut_ptr().add(out.len()).cast::<u8>();
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst, n * 4);
+            out.set_len(out.len() + n);
         }
-        Ok(out)
     }
     #[cfg(target_endian = "big")]
     {
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
     }
 }
 
-/// Bulk-decode `n` little-endian u32s: one memcpy on LE targets.
-fn take_u32s(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<u32>, CodecError> {
-    let bytes = cur.take(n * 4, "truncated u32 array")?;
-    #[cfg(target_endian = "little")]
-    {
-        let mut out: Vec<u32> = Vec::with_capacity(n);
-        // Safety: same argument as `take_f32s`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * 4);
-            out.set_len(n);
-        }
-        Ok(out)
-    }
-    #[cfg(target_endian = "big")]
-    {
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-/// Append the CRC of everything written so far — in place, no payload copy.
-fn seal_into(buf: &mut Vec<u8>) {
-    let crc = crc32(buf);
-    put_u32(buf, crc);
-}
-
+/// Check the CRC trailer and return the body it covers.
 fn check_crc(data: &[u8]) -> Result<&[u8], CodecError> {
-    if data.len() < 4 {
-        return Err(CodecError::Corrupt("too short for crc"));
-    }
-    let (body, tail) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(tail.try_into().unwrap());
-    if crc32(body) != stored {
+    let (body, tail) = data
+        .split_last_chunk::<4>()
+        .ok_or(CodecError::Corrupt("too short for crc"))?;
+    if crc32(body) != u32::from_le_bytes(*tail) {
         return Err(CodecError::CrcMismatch);
     }
     Ok(body)
 }
 
-fn check_magic(cur: &mut Cursor<'_>, magic: &[u8; 4]) -> Result<(), CodecError> {
-    match cur.take(4, "missing magic") {
-        Ok(m) if m == magic => Ok(()),
-        _ => Err(CodecError::BadMagic),
+/// The open step every storage record decoder starts with: the CRC, then
+/// the magic, then the version against the `accepted` set. Returns the
+/// version and a cursor positioned just past it.
+pub(crate) fn open<'a>(
+    data: &'a [u8],
+    magic: &[u8; 4],
+    accepted: &[u16],
+) -> Result<(u16, Cursor<'a>), CodecError> {
+    let mut cur = Cursor::new(check_crc(data)?);
+    if cur.array::<4>("missing magic").ok().as_ref() != Some(magic) {
+        return Err(CodecError::BadMagic);
     }
+    let version = cur.get_u16("truncated header")?;
+    if !accepted.contains(&version) {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    Ok((version, cur))
 }
+
+// --- full checkpoints (LDFC) ------------------------------------------------
 
 /// A decoded full checkpoint: the model state plus whatever auxiliary
 /// training state the blob carried.
@@ -391,48 +449,46 @@ pub struct FullCheckpoint {
     pub version: u16,
 }
 
-/// Serialize a full checkpoint (current v2 format, no auxiliary state)
-/// into a fresh buffer.
-pub fn encode_model_state(state: &ModelState) -> Vec<u8> {
-    encode_full_checkpoint(state, &AuxView::NONE)
+/// A short byte run assembled on the stack: the full-checkpoint header
+/// and the small aux sections on either side of the residual. Each is
+/// defined once and then appended by the streaming writer or copied in
+/// place by the frame writer, so both emit the same bytes.
+struct Section<const N: usize> {
+    buf: [u8; N],
+    len: usize,
 }
 
-/// Serialize a full checkpoint (v2, no auxiliary state) into `buf`,
-/// reusing its allocation.
-pub fn encode_model_state_into(state: &ModelState, buf: &mut Vec<u8>) {
-    encode_full_checkpoint_into(state, &AuxView::NONE, buf);
-}
-
-/// Serialize a full checkpoint with auxiliary state (v2).
-pub fn encode_full_checkpoint(state: &ModelState, aux: &AuxView<'_>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(39 + state.params.len() * 12);
-    encode_full_checkpoint_into(state, aux, &mut buf);
-    buf
-}
-
-/// Serialize a full checkpoint with auxiliary state (v2) into `buf`,
-/// reusing its allocation. The buffer is cleared first, so a pooled buffer
-/// from a previous (possibly longer) encode never leaks stale bytes into
-/// this one.
-pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &mut Vec<u8>) {
-    if let Some(r) = aux.residual {
-        assert_eq!(
-            r.len(),
-            state.params.len(),
-            "residual length must equal parameter count"
-        );
+impl<const N: usize> Section<N> {
+    fn new() -> Self {
+        Self {
+            buf: [0; N],
+            len: 0,
+        }
     }
-    buf.clear();
-    let psi = state.params.len();
-    buf.reserve(39 + psi * 12 + aux.residual.map_or(0, |r| r.len() * 4));
-    buf.extend_from_slice(MAGIC_FULL);
-    put_u16(buf, FULL_VERSION_V2);
-    put_u64(buf, state.iteration);
-    put_u64(buf, psi as u64);
-    put_u64(buf, state.opt.t);
-    put_f32s(buf, &state.params);
-    put_f32s(buf, &state.opt.m);
-    put_f32s(buf, &state.opt.v);
+
+    fn put(&mut self, bytes: &[u8]) -> &mut Self {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+        self
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+fn full_header(iteration: u64, psi: usize, opt_t: u64) -> Section<FULL_HEADER_LEN> {
+    let mut s = Section::new();
+    s.put(MAGIC_FULL)
+        .put(&FULL_VERSION_V2.to_le_bytes())
+        .put(&iteration.to_le_bytes())
+        .put(&(psi as u64).to_le_bytes())
+        .put(&opt_t.to_le_bytes());
+    s
+}
+
+/// The aux-section presence bitmask of a view (the trailer's flags byte).
+fn aux_flag_bits(aux: &AuxView<'_>) -> u8 {
     let mut flags = 0u8;
     if aux.residual.is_some() {
         flags |= AUX_FLAG_RESIDUAL;
@@ -446,30 +502,104 @@ pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &
     if aux.quant.is_some() {
         flags |= AUX_FLAG_QUANT_POLICY;
     }
-    put_u8(buf, flags);
+    flags
+}
+
+/// The aux trailer up to the residual: flags byte, compressor config
+/// (kind u8, ratio f64, bits u8), RNG cursor (4 × u64).
+fn aux_head(aux: &AuxView<'_>) -> Section<43> {
+    let mut s = Section::new();
+    s.put(&[aux_flag_bits(aux)]);
     if let Some(c) = aux.compressor {
-        put_u8(buf, c.kind as u8);
-        put_f64(buf, c.ratio);
-        put_u8(buf, c.bits);
+        s.put(&[c.kind as u8])
+            .put(&c.ratio.to_le_bytes())
+            .put(&[c.bits]);
     }
     if let Some(rng) = aux.rng {
         for w in rng {
-            put_u64(buf, w);
+            s.put(&w.to_le_bytes());
         }
     }
-    if let Some(r) = aux.residual {
-        put_f32s(buf, r);
-    }
-    // Written last so quantization-off checkpoints stay byte-identical to
-    // the pre-policy format.
+    s
+}
+
+/// The aux trailer after the residual: the quant policy (bits, streak,
+/// adaptive, floor_bits as u8, max_err f32). Written last so
+/// quantization-off checkpoints stay byte-identical to the pre-policy
+/// format.
+fn aux_tail(aux: &AuxView<'_>) -> Section<8> {
+    let mut s = Section::new();
     if let Some(q) = aux.quant {
-        put_u8(buf, q.bits);
-        put_u8(buf, q.streak);
-        put_u8(buf, u8::from(q.adaptive));
-        put_u8(buf, q.floor_bits);
-        put_f32(buf, q.max_err);
+        s.put(&[q.bits, q.streak, u8::from(q.adaptive), q.floor_bits])
+            .put(&q.max_err.to_le_bytes());
     }
-    seal_into(buf);
+    s
+}
+
+/// The one aux-trailer reader (v2 full checkpoints).
+fn take_aux(cur: &mut Cursor<'_>, psi: usize) -> Result<AuxState, CodecError> {
+    let mut aux = AuxState::default();
+    let flags = cur.get_u8("missing aux flags")?;
+    if flags & !AUX_FLAGS_KNOWN != 0 {
+        return Err(CodecError::Corrupt("unknown aux flags"));
+    }
+    if flags & AUX_FLAG_COMPRESSOR != 0 {
+        let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
+            .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
+        let ratio = cur.get_f64("truncated compressor cfg")?;
+        let bits = cur.get_u8("truncated compressor cfg")?;
+        aux.compressor = Some(CompressorCfg { kind, ratio, bits });
+    }
+    if flags & AUX_FLAG_RNG != 0 {
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
+            *w = cur.get_u64("truncated rng cursor")?;
+        }
+        aux.rng = Some(rng);
+    }
+    if flags & AUX_FLAG_RESIDUAL != 0 {
+        aux.residual = Some(cur.get_f32s(psi, "truncated residual")?);
+    }
+    if flags & AUX_FLAG_QUANT_POLICY != 0 {
+        let [bits, streak, adaptive, floor_bits] = cur.array("truncated quant policy")?;
+        let max_err = cur.get_f32("truncated quant policy")?;
+        if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
+            return Err(CodecError::Corrupt("invalid quant policy width"));
+        }
+        aux.quant = Some(QuantPolicyState {
+            bits,
+            streak,
+            adaptive: adaptive != 0,
+            max_err,
+            floor_bits,
+        });
+    }
+    Ok(aux)
+}
+
+fn assert_residual_len(aux: &AuxView<'_>, psi: usize) {
+    if let Some(r) = aux.residual {
+        assert_eq!(r.len(), psi, "residual length must equal parameter count");
+    }
+}
+
+/// Serialize a full checkpoint with auxiliary state (v2) in one streaming
+/// pass — pass [`AuxView::NONE`] for a state-only checkpoint.
+pub fn encode_full_checkpoint(state: &ModelState, aux: &AuxView<'_>) -> Vec<u8> {
+    let psi = state.params.len();
+    assert_residual_len(aux, psi);
+    let mut buf = Vec::with_capacity(full_frame_layout(psi, aux).body_len + 4);
+    buf.extend_from_slice(full_header(state.iteration, psi, state.opt.t).bytes());
+    put_f32s(&mut buf, &state.params);
+    put_f32s(&mut buf, &state.opt.m);
+    put_f32s(&mut buf, &state.opt.v);
+    buf.extend_from_slice(aux_head(aux).bytes());
+    if let Some(r) = aux.residual {
+        put_f32s(&mut buf, r);
+    }
+    buf.extend_from_slice(aux_tail(aux).bytes());
+    seal_into(&mut buf);
+    buf
 }
 
 /// Byte offsets of the large lazily-capturable regions inside a v2
@@ -478,7 +608,7 @@ pub fn encode_full_checkpoint_into(state: &ModelState, aux: &AuxView<'_>, buf: &
 /// section except the residual have static sizes), which is what lets an
 /// incremental snapshot capture chunks **directly into the wire image**:
 /// filling the regions and sealing yields a blob byte-identical to
-/// [`encode_full_checkpoint_into`] on the same state.
+/// [`encode_full_checkpoint`] on the same state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FullFrameLayout {
     /// Offset of the `params` region (`Ψ × 4` bytes, f32 LE).
@@ -498,43 +628,40 @@ pub struct FullFrameLayout {
 /// parameters and the aux sections present in `aux` (only *which* sections
 /// are present matters, not their contents).
 pub fn full_frame_layout(psi: usize, aux: &AuxView<'_>) -> FullFrameLayout {
-    // magic(4) + version(2) + iteration(8) + psi(8) + adam_t(8)
-    let header = 30usize;
-    let params_off = header;
-    let m_off = params_off + psi * 4;
-    let v_off = m_off + psi * 4;
-    let mut off = v_off + psi * 4 + 1; // + aux flags byte
-    if aux.compressor.is_some() {
-        off += 1 + 8 + 1; // kind u8, ratio f64, bits u8
-    }
-    if aux.rng.is_some() {
-        off += 4 * 8;
-    }
-    let residual_off = aux.residual.is_some().then_some(off);
-    if aux.residual.is_some() {
-        off += psi * 4;
-    }
-    if aux.quant.is_some() {
-        off += 4 + 4; // bits/streak/adaptive/floor_bits u8×4, max_err f32
-    }
+    let region = psi * 4;
+    let params_off = FULL_HEADER_LEN;
+    let m_off = params_off + region;
+    let v_off = m_off + region;
+    let residual_at = v_off + region + aux_head(aux).len;
+    let residual_off = aux.residual.is_some().then_some(residual_at);
+    let residual_len = if aux.residual.is_some() { region } else { 0 };
     FullFrameLayout {
         params_off,
         m_off,
         v_off,
         residual_off,
-        body_len: off,
+        body_len: residual_at + residual_len + aux_tail(aux).len,
     }
 }
 
 /// Write an **unsealed** v2 full-checkpoint frame into `buf`: the header
 /// and every small aux section (flags, compressor, RNG cursor, quant
-/// policy) carry their final bytes; the params / m / v / residual regions
-/// are zero-filled placeholders at the offsets the returned
-/// [`FullFrameLayout`] names. Once every region byte has been filled (f32
-/// LE, e.g. chunk by chunk), [`seal_frame`] appends the CRC and the blob
-/// is byte-identical to [`encode_full_checkpoint_into`] for the state the
-/// regions were filled from — the incremental-snapshot byte-identity
-/// invariant, pinned by `frame_fill_seal_matches_blocking_encode`.
+/// policy) carry their final bytes at the offsets the returned
+/// [`FullFrameLayout`] names. Once every params / m / v / residual region
+/// byte has been filled (f32 LE, e.g. chunk by chunk), [`seal_frame`]
+/// appends the CRC and the blob is byte-identical to
+/// [`encode_full_checkpoint`] for the state the regions were filled from —
+/// the incremental-snapshot byte-identity invariant, pinned by
+/// `frame_fill_seal_matches_blocking_encode`.
+///
+/// When `buf` already holds a frame of the **same shape** (same `psi`,
+/// same aux-section mix, sealed or not — e.g. a recycled capture ticket)
+/// only the header and the small sections are rewritten in place and the
+/// region bytes keep the previous capture's contents: skipping the
+/// multi-MB placeholder memset is the point, since on the training thread
+/// it is a milliseconds-scale stall for nothing. Any other buffer is
+/// rebuilt with zero-filled regions. Either way the buffer has room for
+/// the CRC, so sealing never reallocates.
 ///
 /// `aux.residual` contributes only its *presence* (its length must equal
 /// `psi`); the contents are captured into the region later.
@@ -545,224 +672,49 @@ pub fn encode_full_frame_into(
     aux: &AuxView<'_>,
     buf: &mut Vec<u8>,
 ) -> FullFrameLayout {
-    if let Some(r) = aux.residual {
-        assert_eq!(r.len(), psi, "residual length must equal parameter count");
-    }
+    assert_residual_len(aux, psi);
     let layout = full_frame_layout(psi, aux);
-    buf.clear();
-    buf.reserve(layout.body_len + 4);
-    buf.extend_from_slice(MAGIC_FULL);
-    put_u16(buf, FULL_VERSION_V2);
-    put_u64(buf, iteration);
-    put_u64(buf, psi as u64);
-    put_u64(buf, opt_t);
-    buf.resize(layout.v_off + psi * 4, 0); // params + m + v placeholders
-    put_u8(buf, aux_flag_bits(aux));
-    if let Some(c) = aux.compressor {
-        put_u8(buf, c.kind as u8);
-        put_f64(buf, c.ratio);
-        put_u8(buf, c.bits);
-    }
-    if let Some(rng) = aux.rng {
-        for w in rng {
-            put_u64(buf, w);
-        }
-    }
-    if let Some(off) = layout.residual_off {
-        buf.resize(off + psi * 4, 0); // residual placeholder
-    }
-    if let Some(q) = aux.quant {
-        put_u8(buf, q.bits);
-        put_u8(buf, q.streak);
-        put_u8(buf, u8::from(q.adaptive));
-        put_u8(buf, q.floor_bits);
-        put_f32(buf, q.max_err);
-    }
-    debug_assert_eq!(buf.len(), layout.body_len);
-    layout
-}
-
-/// The aux-section presence bitmask of a view (the frame's flags byte).
-fn aux_flag_bits(aux: &AuxView<'_>) -> u8 {
-    let mut flags = 0u8;
-    if aux.residual.is_some() {
-        flags |= AUX_FLAG_RESIDUAL;
-    }
-    if aux.compressor.is_some() {
-        flags |= AUX_FLAG_COMPRESSOR;
-    }
-    if aux.rng.is_some() {
-        flags |= AUX_FLAG_RNG;
-    }
-    if aux.quant.is_some() {
-        flags |= AUX_FLAG_QUANT_POLICY;
-    }
-    flags
-}
-
-/// [`encode_full_frame_into`] for a buffer that already holds a frame of
-/// the **same shape** (same `psi`, same aux-section mix — e.g. a recycled
-/// incremental-capture ticket): rewrite only the header and the small aux
-/// sections in place and leave the params / m / v / residual region bytes
-/// untouched. The regions still hold the *previous* capture's bytes — the
-/// caller's contract is exactly the frame-filling one: every region byte
-/// is overwritten (chunk by chunk) before [`seal_frame`], so the sealed
-/// blob is byte-identical to a from-scratch encode. Skipping the
-/// multi-MB placeholder zeroing is the point: on the training thread that
-/// memset is a milliseconds-scale stall for nothing.
-///
-/// Falls back to [`encode_full_frame_into`] (full rebuild) when the
-/// buffer doesn't hold a matching frame — wrong length or different
-/// section mix.
-pub fn reframe_full_frame_into(
-    iteration: u64,
-    opt_t: u64,
-    psi: usize,
-    aux: &AuxView<'_>,
-    buf: &mut Vec<u8>,
-) -> FullFrameLayout {
-    if let Some(r) = aux.residual {
-        assert_eq!(r.len(), psi, "residual length must equal parameter count");
-    }
-    let layout = full_frame_layout(psi, aux);
-    let aux_off = layout.v_off + psi * 4;
-    let flags = aux_flag_bits(aux);
-    // A sealed previous frame is body + 4 CRC bytes; an unsealed one
-    // (abandoned capture) is bare body. The flags byte pins the section
-    // mix, and with it every offset this in-place rewrite relies on.
+    let head = aux_head(aux);
+    let tail = aux_tail(aux);
+    let head_off = layout.v_off + psi * 4;
+    // The flags byte (the first of `head`) pins the section mix, and with
+    // it every offset the in-place rewrite relies on.
     let reusable = (buf.len() == layout.body_len || buf.len() == layout.body_len + 4)
-        && buf.get(aux_off).copied() == Some(flags);
-    if !reusable {
-        return encode_full_frame_into(iteration, opt_t, psi, aux, buf);
+        && buf.get(head_off) == head.bytes().first();
+    if reusable {
+        buf.truncate(layout.body_len);
+    } else {
+        buf.clear();
+        buf.reserve(layout.body_len + 4);
+        buf.resize(layout.body_len, 0);
     }
-    buf.truncate(layout.body_len);
-    buf[0..4].copy_from_slice(MAGIC_FULL);
-    buf[4..6].copy_from_slice(&FULL_VERSION_V2.to_le_bytes());
-    buf[6..14].copy_from_slice(&iteration.to_le_bytes());
-    buf[14..22].copy_from_slice(&(psi as u64).to_le_bytes());
-    buf[22..30].copy_from_slice(&opt_t.to_le_bytes());
-    let mut off = aux_off;
-    buf[off] = flags;
-    off += 1;
-    if let Some(c) = aux.compressor {
-        buf[off] = c.kind as u8;
-        buf[off + 1..off + 9].copy_from_slice(&c.ratio.to_le_bytes());
-        buf[off + 9] = c.bits;
-        off += 10;
-    }
-    if let Some(rng) = aux.rng {
-        for w in rng {
-            buf[off..off + 8].copy_from_slice(&w.to_le_bytes());
-            off += 8;
-        }
-    }
-    if aux.residual.is_some() {
-        off += psi * 4; // region bytes: captured later, left stale here
-    }
-    if let Some(q) = aux.quant {
-        buf[off] = q.bits;
-        buf[off + 1] = q.streak;
-        buf[off + 2] = u8::from(q.adaptive);
-        buf[off + 3] = q.floor_bits;
-        buf[off + 4..off + 8].copy_from_slice(&q.max_err.to_le_bytes());
-        off += 8;
-    }
-    debug_assert_eq!(off, layout.body_len);
+    buf[..FULL_HEADER_LEN].copy_from_slice(full_header(iteration, psi, opt_t).bytes());
+    buf[head_off..head_off + head.len].copy_from_slice(head.bytes());
+    buf[layout.body_len - tail.len..].copy_from_slice(tail.bytes());
     layout
 }
 
 /// Seal a filled frame: append the CRC32 of everything written so far.
-/// The public face of the internal `seal_into`, for frames built through
-/// [`encode_full_frame_into`].
 pub fn seal_frame(buf: &mut Vec<u8>) {
     seal_into(buf);
 }
 
-/// Serialize a full checkpoint in the legacy v1 layout (no aux trailer).
-/// Nothing writes v1 anymore; this exists so backward-compatibility tests
-/// can fabricate old blobs and prove [`decode_full_checkpoint`] still
-/// reads them (with the lossy flag set).
-pub fn encode_model_state_v1(state: &ModelState) -> Vec<u8> {
-    let psi = state.params.len();
-    let mut buf = Vec::with_capacity(34 + psi * 12);
-    buf.extend_from_slice(MAGIC_FULL);
-    put_u16(&mut buf, VERSION);
-    put_u64(&mut buf, state.iteration);
-    put_u64(&mut buf, psi as u64);
-    put_u64(&mut buf, state.opt.t);
-    put_f32s(&mut buf, &state.params);
-    put_f32s(&mut buf, &state.opt.m);
-    put_f32s(&mut buf, &state.opt.v);
-    seal_into(&mut buf);
-    buf
-}
-
-/// Deserialize a full checkpoint (model state only), accepting both v1 and
-/// v2 layouts; any v2 auxiliary state is decoded and dropped.
-pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
-    Ok(decode_full_checkpoint(data)?.state)
-}
-
 /// Deserialize a full checkpoint with its auxiliary state, validating
-/// magic, version and CRC. Accepts v1 (no aux, lossy) and v2.
+/// CRC, magic and version. Accepts v1 (no aux, lossy) and v2.
 pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError> {
-    let body = check_crc(data)?;
-    let mut cur = Cursor::new(body);
-    check_magic(&mut cur, MAGIC_FULL)?;
-    let version = cur.get_u16("truncated header")?;
-    if version != VERSION && version != FULL_VERSION_V2 {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
+    let (version, mut cur) = open(data, MAGIC_FULL, &FULL_VERSIONS)?;
     let iteration = cur.get_u64("truncated header")?;
-    let psi = cur.get_u64("truncated header")? as usize;
+    let psi = cur.get_len("truncated header")?;
     let adam_t = cur.get_u64("truncated header")?;
-    let params = take_f32s(&mut cur, psi)?;
-    let m = take_f32s(&mut cur, psi)?;
-    let v = take_f32s(&mut cur, psi)?;
-    let mut aux = AuxState::default();
-    if version >= FULL_VERSION_V2 {
-        let flags = cur.get_u8("missing aux flags")?;
-        if flags & !AUX_FLAGS_KNOWN != 0 {
-            return Err(CodecError::Corrupt("unknown aux flags"));
-        }
-        if flags & AUX_FLAG_COMPRESSOR != 0 {
-            let kind = CompressorKind::from_u8(cur.get_u8("truncated compressor cfg")?)
-                .ok_or(CodecError::Corrupt("unknown compressor kind"))?;
-            let ratio = cur.get_f64("truncated compressor cfg")?;
-            let bits = cur.get_u8("truncated compressor cfg")?;
-            aux.compressor = Some(CompressorCfg { kind, ratio, bits });
-        }
-        if flags & AUX_FLAG_RNG != 0 {
-            let mut rng = [0u64; 4];
-            for w in &mut rng {
-                *w = cur.get_u64("truncated rng cursor")?;
-            }
-            aux.rng = Some(rng);
-        }
-        if flags & AUX_FLAG_RESIDUAL != 0 {
-            aux.residual = Some(take_f32s(&mut cur, psi)?);
-        }
-        if flags & AUX_FLAG_QUANT_POLICY != 0 {
-            let bits = cur.get_u8("truncated quant policy")?;
-            let streak = cur.get_u8("truncated quant policy")?;
-            let adaptive = cur.get_u8("truncated quant policy")? != 0;
-            let floor_bits = cur.get_u8("truncated quant policy")?;
-            let max_err = cur.get_f32("truncated quant policy")?;
-            if !matches!(bits, 4 | 8 | 16) || !matches!(floor_bits, 4 | 8 | 16) {
-                return Err(CodecError::Corrupt("invalid quant policy width"));
-            }
-            aux.quant = Some(QuantPolicyState {
-                bits,
-                streak,
-                adaptive,
-                max_err,
-                floor_bits,
-            });
-        }
-    }
-    if cur.has_remaining() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
+    let params = cur.get_f32s(psi, "truncated f32 array")?;
+    let m = cur.get_f32s(psi, "truncated f32 array")?;
+    let v = cur.get_f32s(psi, "truncated f32 array")?;
+    let aux = if version >= FULL_VERSION_V2 {
+        take_aux(&mut cur, psi)?
+    } else {
+        AuxState::default()
+    };
+    cur.finish("trailing bytes")?;
     let lossy = aux.is_empty();
     Ok(FullCheckpoint {
         state: ModelState {
@@ -776,64 +728,14 @@ pub fn decode_full_checkpoint(data: &[u8]) -> Result<FullCheckpoint, CodecError>
     })
 }
 
-/// Shared `Quant`/`Dense` encoding (byte-identical in v1 and v2).
-fn put_compressed_common(buf: &mut Vec<u8>, g: &CompressedGrad) {
-    match g {
-        CompressedGrad::Sparse(_) => unreachable!("sparse handled per-version"),
-        CompressedGrad::Quant(q) => {
-            put_u8(buf, 1);
-            put_u64(buf, q.dense_len as u64);
-            put_u8(buf, q.bits);
-            put_f32(buf, q.scale);
-            put_f32(buf, q.zero);
-            put_u32(buf, q.codes.len() as u32);
-            buf.extend_from_slice(&q.codes);
-        }
-        CompressedGrad::Dense(d) => {
-            put_u8(buf, 2);
-            put_u64(buf, d.len() as u64);
-            put_f32s(buf, d);
-        }
-    }
-}
+// --- diff batches (LDDB) ----------------------------------------------------
 
-/// v1 gradient encoding: raw little-endian `u32` sparse indices.
-fn put_compressed_v1(buf: &mut Vec<u8>, g: &CompressedGrad) {
-    match g {
-        CompressedGrad::Sparse(s) => {
-            put_u8(buf, 0);
-            put_u64(buf, s.dense_len as u64);
-            put_u32(buf, s.nnz() as u32);
-            put_u32s(buf, &s.indices);
-            put_f32s(buf, &s.values);
-        }
-        other => put_compressed_common(buf, other),
-    }
-}
-
-/// v2 gradient encoding: sparse indices as varint deltas. Relies on the
-/// `SparseGrad` invariant that indices are strictly increasing (Top-K
-/// sorts before constructing), so every delta after the first is ≥ 1.
-fn put_compressed_v2(buf: &mut Vec<u8>, g: &CompressedGrad) {
-    match g {
-        CompressedGrad::Sparse(s) => {
-            debug_assert!(
-                s.indices.windows(2).all(|w| w[0] < w[1]),
-                "v2 delta encoding requires strictly increasing indices"
-            );
-            put_u8(buf, 0);
-            put_u64(buf, s.dense_len as u64);
-            put_u32(buf, s.nnz() as u32);
-            let mut prev = 0u32;
-            for (i, &idx) in s.indices.iter().enumerate() {
-                let delta = if i == 0 { idx } else { idx - prev };
-                put_varint(buf, u64::from(delta));
-                prev = idx;
-            }
-            put_f32s(buf, &s.values);
-        }
-        other => put_compressed_common(buf, other),
-    }
+/// One differential entry: the iteration it advances *from* (applying it to
+/// `M_t` yields `M_{t+1}`) and the reused compressed gradient.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DiffEntry {
+    pub iteration: u64,
+    pub grad: CompressedGrad,
 }
 
 /// Number of quantization levels at `width` bits.
@@ -917,137 +819,254 @@ fn put_value_block(buf: &mut Vec<u8>, values: &[f32], q: &QuantizedValues) {
     }
 }
 
+/// The value plane in the batch's codec: bulk f32 (v2) or a v3 block.
+fn put_values(buf: &mut Vec<u8>, values: &[f32], codec: &ValueCodec) {
+    match codec {
+        ValueCodec::F32 => put_f32s(buf, values),
+        ValueCodec::Quantized(q) => put_value_block(buf, values, q),
+    }
+}
+
+/// Sparse indices as LEB128 varint deltas (v2 and v3). Relies on the
+/// `SparseGrad` invariant that indices are strictly increasing (Top-K
+/// sorts before constructing), so every delta after the first is ≥ 1.
+fn put_index_deltas(buf: &mut Vec<u8>, indices: &[u32]) {
+    debug_assert!(
+        indices.windows(2).all(|w| w[0] < w[1]),
+        "delta encoding requires strictly increasing indices"
+    );
+    let mut prev = 0u32;
+    for &idx in indices {
+        put_varint(buf, u64::from(idx - prev));
+        prev = idx;
+    }
+}
+
+/// One gradient record. `Quant` records (tag 1) are already quantized and
+/// stay lossless in every version, so gradient-replay determinism
+/// survives a quantized value codec.
+fn put_compressed(buf: &mut Vec<u8>, g: &CompressedGrad, codec: &ValueCodec) {
+    match g {
+        CompressedGrad::Sparse(s) => {
+            put_u8(buf, 0);
+            put_u64(buf, s.dense_len as u64);
+            put_u32(buf, s.nnz() as u32);
+            put_index_deltas(buf, &s.indices);
+            put_values(buf, &s.values, codec);
+        }
+        CompressedGrad::Quant(q) => {
+            put_u8(buf, 1);
+            put_u64(buf, q.dense_len as u64);
+            put_u8(buf, q.bits);
+            put_f32(buf, q.scale);
+            put_f32(buf, q.zero);
+            put_u32(buf, q.codes.len() as u32);
+            buf.extend_from_slice(&q.codes);
+        }
+        CompressedGrad::Dense(d) => {
+            put_u8(buf, 2);
+            put_u64(buf, d.len() as u64);
+            put_values(buf, d, codec);
+        }
+    }
+}
+
+/// Serialize a batch of differential checkpoints (`C^B` in §4.2: one write
+/// I/O for `BS` reused gradients) into `buf`, reusing its allocation.
+/// [`ValueCodec::F32`] writes v2, [`ValueCodec::Quantized`] writes v3. The
+/// entries are borrowed — a buffer of `Arc<CompressedGrad>` handles is
+/// serialized straight from the shared payloads, never cloned first — and
+/// the buffer is cleared first, so stale bytes from a previous longer
+/// encode never survive.
+pub fn encode_diff_batch_into<'a>(
+    entries: impl ExactSizeIterator<Item = (u64, &'a CompressedGrad)>,
+    codec: &ValueCodec,
+    buf: &mut Vec<u8>,
+) {
+    buf.clear();
+    buf.extend_from_slice(MAGIC_DIFF);
+    put_u16(
+        buf,
+        match codec {
+            ValueCodec::F32 => DIFF_VERSION_V2,
+            ValueCodec::Quantized(_) => DIFF_VERSION_V3,
+        },
+    );
+    put_u32(buf, entries.len() as u32);
+    for (iteration, grad) in entries {
+        put_u64(buf, iteration);
+        put_compressed(buf, grad, codec);
+    }
+    seal_into(buf);
+}
+
+/// Serialize a diff batch with f32 values (v2) into a fresh buffer.
+pub fn encode_diff_batch(entries: &[DiffEntry]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    encode_diff_batch_into(
+        entries.iter().map(|e| (e.iteration, &e.grad)),
+        &ValueCodec::F32,
+        &mut buf,
+    );
+    buf
+}
+
+/// Value-plane bookkeeping an inspecting walk asks for: the stored bytes
+/// and, for v3 blocks, each chunk's width in stream order.
+#[derive(Default)]
+struct ValuePlane {
+    bytes: usize,
+    widths: Vec<u8>,
+}
+
 /// Decode a v3 value block of `n` elements, dequantizing each chunk into
 /// plain f32s (`v = lo + code · scale`) so downstream consumers see a
-/// standard sparse/dense gradient.
-fn take_value_block(cur: &mut Cursor<'_>, n: usize) -> Result<Vec<f32>, CodecError> {
+/// standard sparse/dense gradient. Records each chunk's width into
+/// `widths` when asked.
+fn take_value_block(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    mut widths: Option<&mut Vec<u8>>,
+) -> Result<Vec<f32>, CodecError> {
+    // Every element costs at least half a byte (a 4-bit code).
+    if n.div_ceil(2) > cur.remaining() {
+        return Err(CodecError::Corrupt("truncated value block"));
+    }
     let mut out = Vec::with_capacity(n);
     let mut remaining = n;
     while remaining > 0 {
         let len = remaining.min(QUANT_CHUNK);
-        match cur.get_u8("truncated value block")? {
-            32 => out.extend_from_slice(&take_f32s(cur, len)?),
-            width @ (4 | 8 | 16) => {
-                let lo = cur.get_f32("truncated value chunk")?;
-                let scale = cur.get_f32("truncated value chunk")?;
-                match width {
-                    4 => {
-                        let bytes = cur.take(len.div_ceil(2), "truncated value chunk")?;
-                        for i in 0..len {
-                            let byte = bytes[i / 2];
-                            let c = if i % 2 == 0 { byte & 0x0F } else { byte >> 4 };
-                            out.push(lo + c as f32 * scale);
-                        }
-                    }
-                    8 => {
-                        let bytes = cur.take(len, "truncated value chunk")?;
-                        for &c in bytes {
-                            out.push(lo + c as f32 * scale);
-                        }
-                    }
-                    16 => {
-                        let bytes = cur.take(len * 2, "truncated value chunk")?;
-                        for pair in bytes.chunks_exact(2) {
-                            let c = u16::from_le_bytes([pair[0], pair[1]]);
-                            out.push(lo + c as f32 * scale);
-                        }
-                    }
-                    _ => unreachable!(),
+        let width = cur.get_u8("truncated value block")?;
+        if let Some(w) = widths.as_deref_mut() {
+            w.push(width);
+        }
+        if width == 32 {
+            extend_f32s(&mut out, cur.take_elems(len, 4, "truncated value chunk")?);
+            remaining -= len;
+            continue;
+        }
+        if !matches!(width, 4 | 8 | 16) {
+            return Err(CodecError::Corrupt("unknown value-block width"));
+        }
+        let lo = cur.get_f32("truncated value chunk")?;
+        let scale = cur.get_f32("truncated value chunk")?;
+        let dequant = |c: u16| lo + f32::from(c) * scale;
+        match width {
+            4 => {
+                let bytes = cur.take(len.div_ceil(2), "truncated value chunk")?;
+                for i in 0..len {
+                    let byte = bytes[i / 2];
+                    let c = if i % 2 == 0 { byte & 0x0F } else { byte >> 4 };
+                    out.push(dequant(c.into()));
                 }
             }
-            _ => return Err(CodecError::Corrupt("unknown value-block width")),
+            8 => {
+                let bytes = cur.take(len, "truncated value chunk")?;
+                out.extend(bytes.iter().map(|&c| dequant(c.into())));
+            }
+            _ => {
+                let bytes = cur.take_elems(len, 2, "truncated value chunk")?;
+                out.extend(
+                    bytes
+                        .chunks_exact(2)
+                        .map(|p| dequant(u16::from_le_bytes([p[0], p[1]]))),
+                );
+            }
         }
         remaining -= len;
     }
     Ok(out)
 }
 
-/// v3 gradient encoding: varint-delta sparse indices as in v2, values
-/// quantized per chunk. `Quant` records stay tag-1 (already quantized,
-/// stored losslessly so gradient-replay determinism survives).
-fn put_compressed_v3(buf: &mut Vec<u8>, g: &CompressedGrad, q: &QuantizedValues) {
-    match g {
-        CompressedGrad::Sparse(s) => {
-            debug_assert!(
-                s.indices.windows(2).all(|w| w[0] < w[1]),
-                "v3 delta encoding requires strictly increasing indices"
-            );
-            put_u8(buf, 0);
-            put_u64(buf, s.dense_len as u64);
-            put_u32(buf, s.nnz() as u32);
-            let mut prev = 0u32;
-            for (i, &idx) in s.indices.iter().enumerate() {
-                let delta = if i == 0 { idx } else { idx - prev };
-                put_varint(buf, u64::from(delta));
-                prev = idx;
-            }
-            put_value_block(buf, &s.values, q);
-        }
-        CompressedGrad::Dense(d) => {
-            put_u8(buf, 2);
-            put_u64(buf, d.len() as u64);
-            put_value_block(buf, d, q);
-        }
-        other => put_compressed_common(buf, other),
+/// A value plane of `n` elements in the blob's version: bulk f32 before
+/// v3, a value block from v3 on.
+fn take_values(
+    cur: &mut Cursor<'_>,
+    n: usize,
+    version: u16,
+    mut plane: Option<&mut ValuePlane>,
+) -> Result<Vec<f32>, CodecError> {
+    let before = cur.remaining();
+    let values = if version >= DIFF_VERSION_V3 {
+        take_value_block(cur, n, plane.as_deref_mut().map(|p| &mut p.widths))?
+    } else {
+        cur.get_f32s(n, "truncated f32 values")?
+    };
+    if let Some(p) = plane {
+        p.bytes += before - cur.remaining();
     }
+    Ok(values)
 }
 
-fn take_compressed(cur: &mut Cursor<'_>, version: u16) -> Result<CompressedGrad, CodecError> {
+/// `nnz` sparse indices in the blob's version — raw `u32`s in v1, varint
+/// deltas from v2 on — validated strictly increasing and below
+/// `dense_len`, so untrusted bytes fail here instead of panicking in
+/// `SparseGrad::new`.
+fn take_indices(
+    cur: &mut Cursor<'_>,
+    nnz: usize,
+    dense_len: usize,
+    version: u16,
+) -> Result<Vec<u32>, CodecError> {
+    let mut indices = Vec::with_capacity(nnz);
+    if version < DIFF_VERSION_V2 {
+        let bytes = cur.take_elems(nnz, 4, "truncated sparse indices")?;
+        indices.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+        );
+        if !indices.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CodecError::Corrupt("non-increasing sparse index"));
+        }
+    } else {
+        let mut acc: u64 = 0;
+        for i in 0..nnz {
+            let delta = cur.get_varint("truncated sparse index delta")?;
+            if i > 0 && delta == 0 {
+                return Err(CodecError::Corrupt("non-increasing sparse index"));
+            }
+            acc = acc
+                .checked_add(delta)
+                .ok_or(CodecError::Corrupt("sparse index overflow"))?;
+            let idx =
+                u32::try_from(acc).map_err(|_| CodecError::Corrupt("sparse index out of range"))?;
+            indices.push(idx);
+        }
+    }
+    if indices.last().is_some_and(|&l| l as usize >= dense_len) {
+        return Err(CodecError::Corrupt("sparse index out of range"));
+    }
+    Ok(indices)
+}
+
+/// The per-tag gradient grammar, shared by decode and inspect.
+fn take_compressed(
+    cur: &mut Cursor<'_>,
+    version: u16,
+    mut plane: Option<&mut ValuePlane>,
+) -> Result<CompressedGrad, CodecError> {
     match cur.get_u8("missing grad tag")? {
         0 => {
-            let dense_len = cur.get_u64("truncated sparse grad")? as usize;
-            let nnz = cur.get_u32("truncated sparse grad")? as usize;
-            let indices = if version >= DIFF_VERSION_V2 {
-                let mut indices = Vec::with_capacity(nnz);
-                let mut acc: u64 = 0;
-                for i in 0..nnz {
-                    let delta = cur.get_varint("truncated sparse index delta")?;
-                    if i > 0 && delta == 0 {
-                        return Err(CodecError::Corrupt("non-increasing sparse index"));
-                    }
-                    acc = acc
-                        .checked_add(delta)
-                        .ok_or(CodecError::Corrupt("sparse index overflow"))?;
-                    if acc >= dense_len as u64 || acc > u64::from(u32::MAX) {
-                        return Err(CodecError::Corrupt("sparse index out of range"));
-                    }
-                    indices.push(acc as u32);
-                }
-                indices
-            } else {
-                if cur.remaining() < nnz * 4 {
-                    return Err(CodecError::Corrupt("truncated sparse grad"));
-                }
-                let indices = take_u32s(cur, nnz)?;
-                // `SparseGrad::new` hard-asserts sorted-unique-in-range;
-                // untrusted v1 bytes must fail decoding, not panic there.
-                if !indices.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(CodecError::Corrupt("non-increasing sparse index"));
-                }
-                if indices.last().is_some_and(|&l| l as usize >= dense_len) {
-                    return Err(CodecError::Corrupt("sparse index out of range"));
-                }
-                indices
-            };
-            let values = if version >= DIFF_VERSION_V3 {
-                take_value_block(cur, nnz)?
-            } else {
-                if cur.remaining() < nnz * 4 {
-                    return Err(CodecError::Corrupt("truncated sparse grad"));
-                }
-                take_f32s(cur, nnz)?
-            };
+            let dense_len = cur.get_len("truncated sparse grad")?;
+            // Every index takes at least one byte (a single-byte varint).
+            let nnz = cur.get_count(1, "truncated sparse grad")?;
+            let indices = take_indices(cur, nnz, dense_len, version)?;
+            let values = take_values(cur, nnz, version, plane)?;
             Ok(CompressedGrad::Sparse(SparseGrad::new(
                 dense_len, indices, values,
             )))
         }
         1 => {
-            let dense_len = cur.get_u64("truncated quant grad")? as usize;
+            let dense_len = cur.get_len("truncated quant grad")?;
             let bits = cur.get_u8("truncated quant grad")?;
             let scale = cur.get_f32("truncated quant grad")?;
             let zero = cur.get_f32("truncated quant grad")?;
             let n = cur.get_u32("truncated quant grad")? as usize;
             let codes = cur.take(n, "truncated quant codes")?.to_vec();
+            if let Some(p) = plane.as_deref_mut() {
+                p.bytes += n;
+            }
             Ok(CompressedGrad::Quant(QuantGrad {
                 dense_len,
                 bits,
@@ -1057,129 +1076,51 @@ fn take_compressed(cur: &mut Cursor<'_>, version: u16) -> Result<CompressedGrad,
             }))
         }
         2 => {
-            let n = cur.get_u64("truncated dense grad")? as usize;
-            if version >= DIFF_VERSION_V3 {
-                Ok(CompressedGrad::Dense(take_value_block(cur, n)?))
-            } else {
-                Ok(CompressedGrad::Dense(take_f32s(cur, n)?))
-            }
+            let n = cur.get_len("truncated dense grad")?;
+            Ok(CompressedGrad::Dense(take_values(cur, n, version, plane)?))
         }
         _ => Err(CodecError::Corrupt("unknown grad tag")),
     }
 }
 
-/// One differential entry: the iteration it advances *from* (applying it to
-/// `M_t` yields `M_{t+1}`) and the reused compressed gradient.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiffEntry {
-    pub iteration: u64,
-    pub grad: CompressedGrad,
+/// The one LDDB walk behind [`decode_diff_batch`] and
+/// [`inspect_diff_batch`]: the open step and version gate, then `count`
+/// entries through the per-tag grammar, then the trailing-bytes check.
+struct DiffReader<'a> {
+    cur: Cursor<'a>,
+    version: u16,
+    left: usize,
 }
 
-/// Serialize a batch of differential checkpoints (`C^B` in §4.2: one write
-/// I/O for `BS` reused gradients) in the current (v2, varint-delta) format.
-pub fn encode_diff_batch(entries: &[DiffEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    encode_diff_batch_into(entries, &mut buf);
-    buf
-}
+impl<'a> DiffReader<'a> {
+    fn open(data: &'a [u8]) -> Result<Self, CodecError> {
+        let (version, mut cur) = open(data, MAGIC_DIFF, &DIFF_VERSIONS)?;
+        let left = cur.get_count(MIN_DIFF_ENTRY_LEN, "truncated header")?;
+        Ok(Self { cur, version, left })
+    }
 
-/// Serialize a diff batch (v2) into `buf`, reusing its allocation. The
-/// buffer is cleared first — stale bytes from a previous longer encode
-/// never survive.
-pub fn encode_diff_batch_into(entries: &[DiffEntry], buf: &mut Vec<u8>) {
-    encode_diff_entries_into(
-        entries.iter().map(|e| (e.iteration, &e.grad)),
-        &ValueCodec::F32,
-        buf,
-    );
-}
-
-/// [`encode_diff_batch_into`] with an explicit value codec:
-/// [`ValueCodec::F32`] writes v2 bytes (identical to the plain entry
-/// point), [`ValueCodec::Quantized`] writes the v3 format.
-pub fn encode_diff_batch_cfg_into(entries: &[DiffEntry], codec: &ValueCodec, buf: &mut Vec<u8>) {
-    encode_diff_entries_into(entries.iter().map(|e| (e.iteration, &e.grad)), codec, buf);
-}
-
-/// Serialize a diff batch (v2) from *borrowed* gradients — the zero-copy
-/// path for buffers that hold `Arc<CompressedGrad>` handles (the batched
-/// writer): the payload is serialized straight from the shared handle,
-/// never cloned into an owned entry first. Byte-identical to
-/// [`encode_diff_batch_into`] over equivalent entries.
-pub fn encode_diff_batch_refs_into<'a, I>(entries: I, buf: &mut Vec<u8>)
-where
-    I: ExactSizeIterator<Item = (u64, &'a CompressedGrad)>,
-{
-    encode_diff_entries_into(entries, &ValueCodec::F32, buf);
-}
-
-/// [`encode_diff_batch_refs_into`] with an explicit value codec.
-pub fn encode_diff_batch_refs_cfg_into<'a, I>(entries: I, codec: &ValueCodec, buf: &mut Vec<u8>)
-where
-    I: ExactSizeIterator<Item = (u64, &'a CompressedGrad)>,
-{
-    encode_diff_entries_into(entries, codec, buf);
-}
-
-fn encode_diff_entries_into<'a, I>(entries: I, codec: &ValueCodec, buf: &mut Vec<u8>)
-where
-    I: ExactSizeIterator<Item = (u64, &'a CompressedGrad)>,
-{
-    buf.clear();
-    buf.extend_from_slice(MAGIC_DIFF);
-    let version = match codec {
-        ValueCodec::F32 => DIFF_VERSION_V2,
-        ValueCodec::Quantized(_) => DIFF_VERSION_V3,
-    };
-    put_u16(buf, version);
-    put_u32(buf, entries.len() as u32);
-    for (iteration, grad) in entries {
-        put_u64(buf, iteration);
-        match codec {
-            ValueCodec::F32 => put_compressed_v2(buf, grad),
-            ValueCodec::Quantized(q) => put_compressed_v3(buf, grad, q),
+    /// The next entry, or `None` once every entry is read and the body is
+    /// exhausted.
+    fn next(&mut self, plane: Option<&mut ValuePlane>) -> Result<Option<DiffEntry>, CodecError> {
+        if self.left == 0 {
+            self.cur.finish("trailing bytes")?;
+            return Ok(None);
         }
+        self.left -= 1;
+        let iteration = self.cur.get_u64("truncated diff entry")?;
+        let grad = take_compressed(&mut self.cur, self.version, plane)?;
+        Ok(Some(DiffEntry { iteration, grad }))
     }
-    seal_into(buf);
-}
-
-/// Serialize a diff batch in the legacy v1 layout (raw `u32` indices).
-/// Nothing writes v1 anymore; this exists so backward-compatibility tests
-/// can fabricate old blobs and prove [`decode_diff_batch`] still reads them.
-pub fn encode_diff_batch_v1(entries: &[DiffEntry]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(MAGIC_DIFF);
-    put_u16(&mut buf, VERSION);
-    put_u32(&mut buf, entries.len() as u32);
-    for e in entries {
-        put_u64(&mut buf, e.iteration);
-        put_compressed_v1(&mut buf, &e.grad);
-    }
-    seal_into(&mut buf);
-    buf
 }
 
 /// Deserialize a differential batch, accepting v1, v2 and v3 layouts
 /// (mixed-version chains decode entry by entry, so recovery can replay a
 /// chain whose blobs span codec upgrades).
 pub fn decode_diff_batch(data: &[u8]) -> Result<Vec<DiffEntry>, CodecError> {
-    let body = check_crc(data)?;
-    let mut cur = Cursor::new(body);
-    check_magic(&mut cur, MAGIC_DIFF)?;
-    let version = cur.get_u16("truncated header")?;
-    if version != VERSION && version != DIFF_VERSION_V2 && version != DIFF_VERSION_V3 {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let count = cur.get_u32("truncated header")? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let iteration = cur.get_u64("truncated diff entry")?;
-        let grad = take_compressed(&mut cur, version)?;
-        out.push(DiffEntry { iteration, grad });
-    }
-    if cur.has_remaining() {
-        return Err(CodecError::Corrupt("trailing bytes"));
+    let mut reader = DiffReader::open(data)?;
+    let mut out = Vec::with_capacity(reader.left);
+    while let Some(entry) = reader.next(None)? {
+        out.push(entry);
     }
     Ok(out)
 }
@@ -1200,7 +1141,7 @@ pub struct DiffEntryInspect {
 }
 
 /// Structural summary of a diff-batch blob — what `lowdiff-ctl inspect`
-/// prints. Decoding stops at metadata: no gradient is materialized.
+/// prints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiffInspect {
     /// Wire version (1, 2 or 3).
@@ -1214,120 +1155,50 @@ pub struct DiffInspect {
     pub entries: Vec<DiffEntryInspect>,
 }
 
-/// Walk a v3 value block recording chunk widths; returns its stored size.
-fn skip_value_block(
-    cur: &mut Cursor<'_>,
-    n: usize,
-    widths: &mut Vec<u8>,
-) -> Result<usize, CodecError> {
-    let mut bytes = 0usize;
-    let mut remaining = n;
-    while remaining > 0 {
-        let len = remaining.min(QUANT_CHUNK);
-        let width = cur.get_u8("truncated value block")?;
-        widths.push(width);
-        bytes += 1;
-        let body = match width {
-            32 => len * 4,
-            4 => 8 + len.div_ceil(2),
-            8 => 8 + len,
-            16 => 8 + len * 2,
-            _ => return Err(CodecError::Corrupt("unknown value-block width")),
-        };
-        cur.take(body, "truncated value chunk")?;
-        bytes += body;
-        remaining -= len;
-    }
-    Ok(bytes)
-}
-
-/// Summarize a diff-batch blob without materializing gradients: wire
-/// version, per-entry representation and (for v3) per-chunk bit widths,
-/// plus stored-vs-raw value-plane byte counts for a compression ratio.
-/// CRC is verified first — a torn blob fails with [`CodecError::CrcMismatch`].
+/// Summarize a diff-batch blob: wire version, per-entry representation and
+/// (for v3) per-chunk bit widths, plus stored-vs-raw value-plane byte
+/// counts for a compression ratio. Walks the blob exactly as
+/// [`decode_diff_batch`] does, so it accepts and rejects the same bytes; a
+/// torn blob fails with [`CodecError::CrcMismatch`].
 pub fn inspect_diff_batch(data: &[u8]) -> Result<DiffInspect, CodecError> {
-    let body = check_crc(data)?;
-    let mut cur = Cursor::new(body);
-    check_magic(&mut cur, MAGIC_DIFF)?;
-    let version = cur.get_u16("truncated header")?;
-    if version != VERSION && version != DIFF_VERSION_V2 && version != DIFF_VERSION_V3 {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let count = cur.get_u32("truncated header")? as usize;
+    let mut reader = DiffReader::open(data)?;
     let mut inspect = DiffInspect {
-        version,
+        version: reader.version,
         encoded_len: data.len(),
         value_bytes: 0,
         raw_value_bytes: 0,
-        entries: Vec::with_capacity(count),
+        entries: Vec::with_capacity(reader.left),
     };
-    for _ in 0..count {
-        let iteration = cur.get_u64("truncated diff entry")?;
-        let mut chunk_widths = Vec::new();
-        let (repr, dense_len, stored_values, value_bytes) = match cur.get_u8("missing grad tag")? {
-            0 => {
-                let dense_len = cur.get_u64("truncated sparse grad")? as usize;
-                let nnz = cur.get_u32("truncated sparse grad")? as usize;
-                if version >= DIFF_VERSION_V2 {
-                    for _ in 0..nnz {
-                        cur.get_varint("truncated sparse index delta")?;
-                    }
-                } else {
-                    cur.take(nnz * 4, "truncated sparse grad")?;
-                }
-                let vb = if version >= DIFF_VERSION_V3 {
-                    skip_value_block(&mut cur, nnz, &mut chunk_widths)?
-                } else {
-                    cur.take(nnz * 4, "truncated sparse grad")?;
-                    nnz * 4
-                };
-                ("sparse", dense_len, nnz, vb)
-            }
-            1 => {
-                let dense_len = cur.get_u64("truncated quant grad")? as usize;
-                cur.get_u8("truncated quant grad")?; // bits
-                cur.get_f32("truncated quant grad")?; // scale
-                cur.get_f32("truncated quant grad")?; // zero
-                let n = cur.get_u32("truncated quant grad")? as usize;
-                cur.take(n, "truncated quant codes")?;
-                ("quant", dense_len, dense_len, n)
-            }
-            2 => {
-                let n = cur.get_u64("truncated dense grad")? as usize;
-                let vb = if version >= DIFF_VERSION_V3 {
-                    skip_value_block(&mut cur, n, &mut chunk_widths)?
-                } else {
-                    cur.take(n * 4, "truncated dense grad")?;
-                    n * 4
-                };
-                ("dense", n, n, vb)
-            }
-            _ => return Err(CodecError::Corrupt("unknown grad tag")),
+    loop {
+        let mut plane = ValuePlane::default();
+        let Some(entry) = reader.next(Some(&mut plane))? else {
+            return Ok(inspect);
         };
-        inspect.value_bytes += value_bytes;
+        let (repr, stored_values) = match &entry.grad {
+            CompressedGrad::Sparse(s) => ("sparse", s.nnz()),
+            CompressedGrad::Quant(q) => ("quant", q.dense_len),
+            CompressedGrad::Dense(d) => ("dense", d.len()),
+        };
+        inspect.value_bytes += plane.bytes;
         inspect.raw_value_bytes += stored_values * 4;
         inspect.entries.push(DiffEntryInspect {
-            iteration,
+            iteration: entry.iteration,
             repr,
-            dense_len,
+            dense_len: entry.grad.dense_len(),
             stored_values,
-            chunk_widths,
+            chunk_widths: plane.widths,
         });
     }
-    if cur.has_remaining() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
-    Ok(inspect)
 }
 
 pub mod reference {
     //! The pre-bulk, per-element codec, retained verbatim in behavior:
     //! element-at-a-time `to_le_bytes` loops, a full payload copy at seal
     //! time, and a full input copy before decoding — exactly the costs the
-    //! bulk codec removed. Property tests assert `encode*` here is
-    //! byte-identical to the bulk encoder (the diff encoder against the
-    //! retained [`super::encode_diff_batch_v1`], since this module predates
-    //! the varint-delta v2 layout); `bench_hotpath` times the gap.
+    //! bulk codec removed. It writes the legacy v1 layouts, which the
+    //! codec proper only decodes, so tests use it to fabricate v1 blobs;
+    //! the v1 golden blobs pin its bytes, property tests assert the bulk
+    //! decoders read its output, and `bench_hotpath` times the gap.
 
     use super::{CodecError, DiffEntry, MAGIC_DIFF, MAGIC_FULL, VERSION};
     use lowdiff_compress::CompressedGrad;
@@ -1355,7 +1226,7 @@ pub mod reference {
         buf.clone()
     }
 
-    /// Per-element serialization of a full checkpoint.
+    /// Per-element serialization of a full checkpoint (v1).
     pub fn encode_model_state(state: &ModelState) -> Vec<u8> {
         let psi = state.params.len();
         let mut buf = Vec::with_capacity(34 + psi * 12);
@@ -1370,31 +1241,17 @@ pub mod reference {
         seal_copy(&mut buf)
     }
 
-    /// Per-element deserialization of a full checkpoint, with the old
+    /// Per-element deserialization of a v1 full checkpoint, with the old
     /// upfront input copy.
     pub fn decode_model_state(data: &[u8]) -> Result<ModelState, CodecError> {
-        // The pre-bulk decoder copied the body into an owned buffer first.
+        // The pre-bulk decoder copied the input into an owned buffer first.
         let owned = data.to_vec();
-        let mut cur = super::Cursor::new(&owned);
-        let body_len = owned
-            .len()
-            .checked_sub(4)
-            .ok_or(CodecError::Corrupt("too short for crc"))?;
-        let stored = u32::from_le_bytes(owned[body_len..].try_into().unwrap());
-        if crc32(&owned[..body_len]) != stored {
-            return Err(CodecError::CrcMismatch);
-        }
-        cur.data = &owned[..body_len];
-        super::check_magic(&mut cur, MAGIC_FULL)?;
-        let version = cur.get_u16("truncated header")?;
-        if version != VERSION {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
+        let (_, mut cur) = super::open(&owned, MAGIC_FULL, &[VERSION])?;
         let iteration = cur.get_u64("truncated header")?;
-        let psi = cur.get_u64("truncated header")? as usize;
+        let psi = cur.get_len("truncated header")?;
         let adam_t = cur.get_u64("truncated header")?;
         let read_f32s = |cur: &mut super::Cursor<'_>, n: usize| -> Result<Vec<f32>, CodecError> {
-            let mut out = Vec::with_capacity(n);
+            let mut out = Vec::with_capacity(n.min(cur.remaining() / 4));
             for _ in 0..n {
                 out.push(cur.get_f32("truncated f32 array")?);
             }
@@ -1403,9 +1260,7 @@ pub mod reference {
         let params = read_f32s(&mut cur, psi)?;
         let m = read_f32s(&mut cur, psi)?;
         let v = read_f32s(&mut cur, psi)?;
-        if cur.has_remaining() {
-            return Err(CodecError::Corrupt("trailing bytes"));
-        }
+        cur.finish("trailing bytes")?;
         Ok(ModelState {
             iteration,
             params,
@@ -1413,7 +1268,8 @@ pub mod reference {
         })
     }
 
-    /// Per-element serialization of a differential batch.
+    /// Per-element serialization of a differential batch (v1: raw `u32`
+    /// sparse indices).
     pub fn encode_diff_batch(entries: &[DiffEntry]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(MAGIC_DIFF);
@@ -1464,24 +1320,31 @@ mod tests {
         st
     }
 
-    #[test]
-    fn model_state_roundtrip() {
-        let st = demo_state(1000, 1);
-        let bytes = encode_model_state(&st);
-        let back = decode_model_state(&bytes).unwrap();
-        assert_eq!(st, back);
+    /// A state-only (aux-less) v2 full checkpoint.
+    fn encode_state(st: &ModelState) -> Vec<u8> {
+        encode_full_checkpoint(st, &AuxView::NONE)
+    }
+
+    fn decode_state(bytes: &[u8]) -> Result<ModelState, CodecError> {
+        decode_full_checkpoint(bytes).map(|fc| fc.state)
+    }
+
+    fn encode_with(entries: &[DiffEntry], codec: &ValueCodec) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_diff_batch_into(
+            entries.iter().map(|e| (e.iteration, &e.grad)),
+            codec,
+            &mut buf,
+        );
+        buf
     }
 
     #[test]
-    fn bulk_encode_byte_identical_to_reference() {
-        // The reference module predates the v2 aux trailer, so the parity
-        // check runs against the retained legacy v1 encoder.
-        let st = demo_state(777, 9);
-        assert_eq!(
-            encode_model_state_v1(&st),
-            reference::encode_model_state(&st),
-            "bulk and per-element encoders must agree byte for byte"
-        );
+    fn model_state_roundtrip() {
+        let st = demo_state(1000, 1);
+        let bytes = encode_state(&st);
+        let back = decode_state(&bytes).unwrap();
+        assert_eq!(st, back);
     }
 
     #[test]
@@ -1506,8 +1369,6 @@ mod tests {
         assert_eq!(fc.aux, aux);
         assert!(!fc.lossy);
         assert_eq!(fc.version, FULL_VERSION_V2);
-        // Model-state-only decode drops the aux without complaint.
-        assert_eq!(decode_model_state(&bytes).unwrap(), st);
     }
 
     #[test]
@@ -1543,7 +1404,7 @@ mod tests {
             assert!(!fc.lossy);
         }
         // No aux at all: decodes fine, flagged lossy.
-        let bytes = encode_model_state(&st);
+        let bytes = encode_state(&st);
         let fc = decode_full_checkpoint(&bytes).unwrap();
         assert!(fc.aux.is_empty());
         assert!(fc.lossy);
@@ -1637,7 +1498,7 @@ mod tests {
         // First frame from scratch, filled and sealed.
         let st1 = demo_state(200, 41);
         let mut buf = Vec::new();
-        let layout = reframe_full_frame_into(st1.iteration, st1.opt.t, 200, &view, &mut buf);
+        let layout = encode_full_frame_into(st1.iteration, st1.opt.t, 200, &view, &mut buf);
         complete(&st1, &mut buf, layout);
         assert_eq!(buf, encode_full_checkpoint(&st1, &view));
 
@@ -1649,7 +1510,7 @@ mod tests {
         st2.opt.t = 1234;
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
-        let layout = reframe_full_frame_into(st2.iteration, st2.opt.t, 200, &view, &mut buf);
+        let layout = encode_full_frame_into(st2.iteration, st2.opt.t, 200, &view, &mut buf);
         assert_eq!(buf.capacity(), cap);
         assert_eq!(buf.as_ptr(), ptr, "fast path must not reallocate");
         complete(&st2, &mut buf, layout);
@@ -1664,7 +1525,7 @@ mod tests {
             quant: None,
         };
         let st3 = demo_state(200, 43);
-        let layout = reframe_full_frame_into(st3.iteration, st3.opt.t, 200, &bare, &mut buf);
+        let layout = encode_full_frame_into(st3.iteration, st3.opt.t, 200, &bare, &mut buf);
         assert!(layout.residual_off.is_none());
         fill(&mut buf, layout.params_off, &st3.params);
         fill(&mut buf, layout.m_off, &st3.opt.m);
@@ -1676,19 +1537,18 @@ mod tests {
     #[test]
     fn legacy_v1_full_decodes_as_lossy() {
         let st = demo_state(128, 23);
-        let v1 = encode_model_state_v1(&st);
+        let v1 = reference::encode_model_state(&st);
         let fc = decode_full_checkpoint(&v1).unwrap();
         assert_eq!(fc.state, st);
         assert!(fc.aux.is_empty(), "v1 carries no aux");
         assert!(fc.lossy, "v1 must be flagged lossy");
         assert_eq!(fc.version, VERSION);
-        assert_eq!(decode_model_state(&v1).unwrap(), st);
     }
 
     #[test]
     fn full_v2_rejects_unknown_aux_flags() {
         let st = demo_state(8, 24);
-        let mut bytes = encode_model_state(&st);
+        let mut bytes = encode_state(&st);
         bytes.truncate(bytes.len() - 4); // strip crc
         let flags_at = bytes.len() - 1; // empty aux → flags is the last body byte
         bytes[flags_at] = 0x80;
@@ -1708,7 +1568,7 @@ mod tests {
             iteration: 1,
             grad: CompressedGrad::Sparse(SparseGrad::new(10, vec![2, 5], vec![1.0, 2.0])),
         }];
-        let bytes = encode_diff_batch_v1(&good);
+        let bytes = reference::encode_diff_batch(&good);
         // Layout: magic(4) version(2) count(4) iter(8) tag(1) dense_len(8)
         // nnz(4) → first u32 index at offset 31.
         for bad_indices in [[5u32, 2], [5, 5], [2, 10]] {
@@ -1729,11 +1589,11 @@ mod tests {
     #[test]
     fn crc_detects_flips_anywhere() {
         let st = demo_state(64, 2);
-        let bytes = encode_model_state(&st);
+        let bytes = encode_state(&st);
         for pos in [0usize, 10, bytes.len() / 2, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            let err = decode_model_state(&bad).unwrap_err();
+            let err = decode_state(&bad).unwrap_err();
             assert!(
                 matches!(err, CodecError::CrcMismatch | CodecError::BadMagic),
                 "flip at {pos} gave {err:?}"
@@ -1744,10 +1604,10 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let st = demo_state(64, 3);
-        let bytes = encode_model_state(&st);
+        let bytes = encode_state(&st);
         // A torn write: only the first half hit the disk.
         let torn = &bytes[..bytes.len() / 2];
-        assert!(decode_model_state(torn).is_err());
+        assert!(decode_state(torn).is_err());
     }
 
     #[test]
@@ -1778,16 +1638,11 @@ mod tests {
         ];
         let bytes = encode_diff_batch(&entries);
         assert_eq!(decode_diff_batch(&bytes).unwrap(), entries);
-        let v1 = encode_diff_batch_v1(&entries);
+        let v1 = reference::encode_diff_batch(&entries);
         assert_eq!(
             decode_diff_batch(&v1).unwrap(),
             entries,
             "legacy v1 blobs must keep decoding"
-        );
-        assert_eq!(
-            v1,
-            reference::encode_diff_batch(&entries),
-            "bulk v1 and per-element diff encoders must agree byte for byte"
         );
     }
 
@@ -1808,7 +1663,7 @@ mod tests {
             grad: CompressedGrad::Sparse(SparseGrad::new(n, indices, values)),
         }];
         let v2 = encode_diff_batch(&entries);
-        let v1 = encode_diff_batch_v1(&entries);
+        let v1 = reference::encode_diff_batch(&entries);
         assert_eq!(decode_diff_batch(&v2).unwrap(), entries);
         assert!(
             (v2.len() as f64) < 0.7 * v1.len() as f64,
@@ -1831,22 +1686,14 @@ mod tests {
             iteration: 2,
             grad: CompressedGrad::Sparse(SparseGrad::new(64, vec![3, 9], vec![0.5, -0.5])),
         }];
-        let mut buf = Vec::new();
-        encode_diff_batch_into(&long, &mut buf);
+        let mut buf = encode_diff_batch(&long);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
-        encode_diff_batch_into(&short, &mut buf);
+        let pairs = short.iter().map(|e| (e.iteration, &e.grad));
+        encode_diff_batch_into(pairs, &ValueCodec::F32, &mut buf);
         assert_eq!(buf, encode_diff_batch(&short), "stale bytes leaked");
         assert_eq!(buf.capacity(), cap, "allocation was not reused");
         assert_eq!(buf.as_ptr(), ptr, "allocation was not reused");
-
-        let st = demo_state(512, 11);
-        let mut fb = Vec::new();
-        encode_model_state_into(&st, &mut fb);
-        assert_eq!(fb, encode_model_state(&st));
-        let small = demo_state(8, 12);
-        encode_model_state_into(&small, &mut fb);
-        assert_eq!(fb, encode_model_state(&small), "stale bytes leaked");
     }
 
     #[test]
@@ -1877,10 +1724,10 @@ mod tests {
     #[test]
     fn wrong_magic_rejected() {
         let st = demo_state(8, 4);
-        let full = encode_model_state(&st);
+        let full = encode_state(&st);
         assert_eq!(decode_diff_batch(&full).unwrap_err(), CodecError::BadMagic);
         let diff = encode_diff_batch(&[]);
-        assert_eq!(decode_model_state(&diff).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(decode_state(&diff).unwrap_err(), CodecError::BadMagic);
     }
 
     #[test]
@@ -1889,12 +1736,12 @@ mod tests {
         // is valid (we seal after corrupting the length), so decoding must
         // fail structurally, not panic.
         let st = demo_state(16, 6);
-        let mut bytes = encode_model_state(&st);
+        let mut bytes = encode_state(&st);
         bytes.truncate(bytes.len() - 4); // strip crc
         bytes[14] = 0xFF; // blow up the psi field (offset 4+2+8 = 14)
         let crc = lowdiff_util::crc::crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
-        let err = decode_model_state(&bytes).unwrap_err();
+        let err = decode_state(&bytes).unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)), "got {err:?}");
     }
 
@@ -1902,7 +1749,7 @@ mod tests {
     fn encoded_size_matches_payload_accounting() {
         // Size ≈ header + 3Ψ·4 + crc; the cost model assumes 3Ψ·4 dominates.
         let st = demo_state(10_000, 5);
-        let bytes = encode_model_state(&st);
+        let bytes = encode_state(&st);
         let payload = st.payload_bytes();
         assert!(bytes.len() >= payload);
         assert!(bytes.len() < payload + 64, "header overhead too large");
@@ -1955,8 +1802,7 @@ mod tests {
     fn v3_roundtrip_equals_quantize_dequantize_reference() {
         for bits in [4u8, 8, 16] {
             let entries = sparse_entries(60_000, u64::from(bits));
-            let mut buf = Vec::new();
-            encode_diff_batch_cfg_into(&entries, &fixed_q(bits), &mut buf);
+            let buf = encode_with(&entries, &fixed_q(bits));
             let back = decode_diff_batch(&buf).unwrap();
             let (orig, got) = match (&entries[0].grad, &back[0].grad) {
                 (CompressedGrad::Sparse(a), CompressedGrad::Sparse(b)) => (a, b),
@@ -1983,8 +1829,7 @@ mod tests {
                 iteration: 3,
                 grad: CompressedGrad::Dense(dense.clone()),
             }];
-            let mut buf = Vec::new();
-            encode_diff_batch_cfg_into(&entries, &fixed_q(bits), &mut buf);
+            let buf = encode_with(&entries, &fixed_q(bits));
             let back = decode_diff_batch(&buf).unwrap();
             match &back[0].grad {
                 CompressedGrad::Dense(d) => {
@@ -1993,24 +1838,6 @@ mod tests {
                 other => panic!("representation changed: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn f32_codec_is_byte_identical_to_plain_v2_encoder() {
-        // The bit-exact acceptance gate: ValueCodec::F32 through the cfg
-        // entry points must reproduce the pre-v3 encoder byte for byte.
-        let entries = sparse_entries(50_000, 5);
-        let plain = encode_diff_batch(&entries);
-        let mut cfg = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &ValueCodec::F32, &mut cfg);
-        assert_eq!(cfg, plain);
-        let mut refs = Vec::new();
-        encode_diff_batch_refs_cfg_into(
-            entries.iter().map(|e| (e.iteration, &e.grad)),
-            &ValueCodec::F32,
-            &mut refs,
-        );
-        assert_eq!(refs, plain);
     }
 
     #[test]
@@ -2027,8 +1854,7 @@ mod tests {
                 zero: -1.0,
             }),
         }];
-        let mut buf = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &fixed_q(4), &mut buf);
+        let buf = encode_with(&entries, &fixed_q(4));
         assert_eq!(decode_diff_batch(&buf).unwrap(), entries);
     }
 
@@ -2039,10 +1865,9 @@ mod tests {
         let e1 = sparse_entries(10_000, 41);
         let e2 = sparse_entries(10_000, 42);
         let e3 = sparse_entries(10_000, 43);
-        let b1 = encode_diff_batch_v1(&e1);
+        let b1 = reference::encode_diff_batch(&e1);
         let b2 = encode_diff_batch(&e2);
-        let mut b3 = Vec::new();
-        encode_diff_batch_cfg_into(&e3, &fixed_q(8), &mut b3);
+        let b3 = encode_with(&e3, &fixed_q(8));
         assert_eq!(decode_diff_batch(&b1).unwrap(), e1);
         assert_eq!(decode_diff_batch(&b2).unwrap(), e2);
         let d3 = decode_diff_batch(&b3).unwrap();
@@ -2061,14 +1886,11 @@ mod tests {
         }];
         let short = sparse_entries(2_000, 17);
         let q = fixed_q(8);
-        let mut buf = Vec::new();
-        encode_diff_batch_cfg_into(&long, &q, &mut buf);
+        let mut buf = encode_with(&long, &q);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
-        encode_diff_batch_cfg_into(&short, &q, &mut buf);
-        let mut fresh = Vec::new();
-        encode_diff_batch_cfg_into(&short, &q, &mut fresh);
-        assert_eq!(buf, fresh, "stale bytes leaked");
+        encode_diff_batch_into(short.iter().map(|e| (e.iteration, &e.grad)), &q, &mut buf);
+        assert_eq!(buf, encode_with(&short, &q), "stale bytes leaked");
         assert_eq!(buf.capacity(), cap, "allocation was not reused");
         assert_eq!(buf.as_ptr(), ptr, "allocation was not reused");
     }
@@ -2076,8 +1898,7 @@ mod tests {
     #[test]
     fn v3_unknown_chunk_width_rejected() {
         let entries = sparse_entries(3_000, 23);
-        let mut buf = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &fixed_q(8), &mut buf);
+        let buf = encode_with(&entries, &fixed_q(8));
         // First value chunk's width byte sits right after the varint index
         // plane; find it by inspecting, then corrupt it.
         let nnz = entries[0].grad.as_sparse().unwrap().nnz();
@@ -2108,8 +1929,7 @@ mod tests {
         // vs ~2 in v3@8 (varint + code + amortized chunk headers).
         let entries = sparse_entries(200_000, 3);
         let v2 = encode_diff_batch(&entries);
-        let mut v3 = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &fixed_q(8), &mut v3);
+        let v3 = encode_with(&entries, &fixed_q(8));
         assert!(
             (v3.len() as f64) < 0.5 * v2.len() as f64,
             "v3@8 ({}) should be well under half of v2 ({})",
@@ -2143,8 +1963,7 @@ mod tests {
             adaptive: true,
             floor_bits: 4,
         });
-        let mut buf = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &codec, &mut buf);
+        let buf = encode_with(&entries, &codec);
         let info = inspect_diff_batch(&buf).unwrap();
         assert_eq!(info.version, DIFF_VERSION_V3);
         let widths = &info.entries[0].chunk_widths;
@@ -2177,8 +1996,7 @@ mod tests {
         assert_eq!(info.entries[0].stored_values, nnz);
         assert!(info.entries[0].chunk_widths.is_empty());
 
-        let mut v3 = Vec::new();
-        encode_diff_batch_cfg_into(&entries, &fixed_q(8), &mut v3);
+        let v3 = encode_with(&entries, &fixed_q(8));
         let info3 = inspect_diff_batch(&v3).unwrap();
         assert_eq!(info3.version, DIFF_VERSION_V3);
         assert_eq!(

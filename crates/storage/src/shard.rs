@@ -23,10 +23,9 @@
 //!   manifest exists, and the manifest is written iff *every* rank
 //!   reported its shard full at `t` sealed.
 
-use crate::codec::{DiffEntry, FullCheckpoint};
+use crate::codec::{self, put_u32, put_u64, seal_into, CodecError, DiffEntry, FullCheckpoint};
 use lowdiff_compress::{AuxState, AuxView, CompressedGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_util::crc32;
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -400,6 +399,9 @@ pub fn stitch_diff_chains(
 pub const MAGIC_GLOBAL: &[u8; 4] = b"LDGM";
 /// Current global-manifest wire version.
 pub const GLOBAL_MANIFEST_VERSION: u16 = 1;
+/// The smallest shard entry on the wire: rank u32, chunk count u32, len
+/// u64, crc u32 (no chunk ids).
+const SHARD_SEAL_MIN_LEN: usize = 20;
 
 /// One rank's sealed shard inside a [`GlobalManifest`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -446,89 +448,57 @@ impl GlobalManifest {
         let mut out = Vec::with_capacity(64 + self.shards.len() * 32);
         out.extend_from_slice(MAGIC_GLOBAL);
         out.extend_from_slice(&GLOBAL_MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.iteration.to_le_bytes());
-        out.extend_from_slice(&self.psi.to_le_bytes());
-        out.extend_from_slice(&self.num_chunks.to_le_bytes());
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        put_u64(&mut out, self.iteration);
+        put_u64(&mut out, self.psi);
+        put_u32(&mut out, self.num_chunks);
+        put_u32(&mut out, self.shards.len() as u32);
         for s in &self.shards {
-            out.extend_from_slice(&s.rank.to_le_bytes());
-            out.extend_from_slice(&(s.chunks.len() as u32).to_le_bytes());
-            for c in &s.chunks {
-                out.extend_from_slice(&c.to_le_bytes());
+            put_u32(&mut out, s.rank);
+            put_u32(&mut out, s.chunks.len() as u32);
+            for &c in &s.chunks {
+                put_u32(&mut out, c);
             }
-            out.extend_from_slice(&s.len.to_le_bytes());
-            out.extend_from_slice(&s.crc.to_le_bytes());
+            put_u64(&mut out, s.len);
+            put_u32(&mut out, s.crc);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal_into(&mut out);
         out
     }
 
     /// Strict decode — wrong magic/version, truncation, trailing bytes or
-    /// a CRC mismatch all fail (an unreadable manifest means the global
-    /// checkpoint never became visible).
+    /// a CRC mismatch all fail with `InvalidData` (an unreadable manifest
+    /// means the global checkpoint never became visible).
     pub fn decode(data: &[u8]) -> io::Result<GlobalManifest> {
-        if data.len() < 8 {
-            return Err(err("global manifest truncated"));
-        }
-        let (body, trailer) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(err("global manifest CRC mismatch"));
-        }
-        let mut buf = body;
-        let take = |buf: &mut &[u8], n: usize| -> io::Result<Vec<u8>> {
-            if buf.len() < n {
-                return Err(err("global manifest truncated"));
-            }
-            let (head, tail) = buf.split_at(n);
-            *buf = tail;
-            Ok(head.to_vec())
-        };
-        let get_u16 = |buf: &mut &[u8]| -> io::Result<u16> {
-            Ok(u16::from_le_bytes(take(buf, 2)?.try_into().unwrap()))
-        };
-        let get_u32 = |buf: &mut &[u8]| -> io::Result<u32> {
-            Ok(u32::from_le_bytes(take(buf, 4)?.try_into().unwrap()))
-        };
-        let get_u64 = |buf: &mut &[u8]| -> io::Result<u64> {
-            Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
-        };
-        if take(&mut buf, 4)? != MAGIC_GLOBAL {
-            return Err(err("not a global manifest (bad magic)"));
-        }
-        let version = get_u16(&mut buf)?;
-        if version != GLOBAL_MANIFEST_VERSION {
-            return Err(err(format!("unsupported global manifest v{version}")));
-        }
-        let iteration = get_u64(&mut buf)?;
-        let psi = get_u64(&mut buf)?;
-        let num_chunks = get_u32(&mut buf)?;
-        let n = get_u32(&mut buf)? as usize;
+        Self::decode_record(data).map_err(|e| err(format!("global manifest: {e}")))
+    }
+
+    fn decode_record(data: &[u8]) -> Result<GlobalManifest, CodecError> {
+        let (_, mut cur) = codec::open(data, MAGIC_GLOBAL, &[GLOBAL_MANIFEST_VERSION])?;
+        let iteration = cur.get_u64("truncated")?;
+        let psi = cur.get_u64("truncated")?;
+        let num_chunks = cur.get_u32("truncated")?;
+        let n = cur.get_count(SHARD_SEAL_MIN_LEN, "truncated")?;
         if n > (1 << 20) {
-            return Err(err("implausible shard count"));
+            return Err(CodecError::Corrupt("implausible shard count"));
         }
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            let rank = get_u32(&mut buf)?;
-            let nc = get_u32(&mut buf)? as usize;
+            let rank = cur.get_u32("truncated")?;
+            let nc = cur.get_count(4, "truncated")?;
             if nc > (1 << 24) {
-                return Err(err("implausible chunk count"));
+                return Err(CodecError::Corrupt("implausible chunk count"));
             }
-            let mut chunks = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                chunks.push(get_u32(&mut buf)?);
-            }
+            let chunks = (0..nc)
+                .map(|_| cur.get_u32("truncated"))
+                .collect::<Result<_, _>>()?;
             shards.push(ShardSeal {
                 rank,
                 chunks,
-                len: get_u64(&mut buf)?,
-                crc: get_u32(&mut buf)?,
+                len: cur.get_u64("truncated")?,
+                crc: cur.get_u32("truncated")?,
             });
         }
-        if !buf.is_empty() {
-            return Err(err("global manifest has trailing bytes"));
-        }
+        cur.finish("trailing bytes")?;
         Ok(GlobalManifest {
             iteration,
             psi,

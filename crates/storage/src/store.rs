@@ -160,8 +160,7 @@ impl CheckpointStore {
     /// error-feedback runs; prefer [`save_full_with_aux`](Self::save_full_with_aux)
     /// on the training path.
     pub fn save_full(&self, state: &ModelState) -> io::Result<()> {
-        let bytes = codec::encode_model_state(state);
-        self.put_full(state.iteration, &bytes)
+        self.save_full_with_aux(state, &AuxView::NONE)
     }
 
     /// Persist a full checkpoint together with the auxiliary training state
@@ -656,7 +655,7 @@ mod tests {
     }
 
     fn put_full_striped_sealed(store: &CheckpointStore, st: &ModelState, stripes: usize) {
-        let bytes = codec::encode_model_state(st);
+        let bytes = codec::encode_full_checkpoint(st, &AuxView::NONE);
         let out = store.put_full_striped(st.iteration, &bytes, stripes, &RetryPolicy::none());
         let manifest = out.result.unwrap();
         store.seal_full_striped(st.iteration, &manifest).unwrap();
@@ -673,7 +672,7 @@ mod tests {
         // The striped data object holds exactly the legacy encoding.
         assert_eq!(
             store.backend().get("full-0000000009.sd.ckpt").unwrap(),
-            codec::encode_model_state(&state_at(9)),
+            codec::encode_full_checkpoint(&state_at(9), &AuxView::NONE),
         );
     }
 
@@ -681,7 +680,7 @@ mod tests {
     fn unsealed_striped_full_is_invisible_and_swept() {
         let (_, store) = mem_store();
         store.save_full(&state_at(3)).unwrap();
-        let bytes = codec::encode_model_state(&state_at(9));
+        let bytes = codec::encode_full_checkpoint(&state_at(9), &AuxView::NONE);
         // Stripes land and finish, but the crash comes before the seal.
         let out = store.put_full_striped(9, &bytes, 4, &RetryPolicy::none());
         out.result.unwrap();

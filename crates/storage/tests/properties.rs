@@ -1,9 +1,11 @@
 //! Property-based tests for the checkpoint codec and store.
 
-use lowdiff_compress::{CompressedGrad, QuantGrad, SparseGrad};
+use lowdiff_compress::{AuxView, CompressedGrad, QuantGrad, SparseGrad};
 use lowdiff_optim::{AdamState, ModelState};
-use lowdiff_storage::codec::{self, DiffEntry};
-use lowdiff_storage::{CheckpointStore, MemoryBackend, StorageBackend};
+use lowdiff_storage::codec::{self, reference, DiffEntry, ValueCodec};
+use lowdiff_storage::stripe::{self, StripeManifest};
+use lowdiff_storage::{CheckpointStore, GlobalManifest, MemoryBackend, ShardSeal, StorageBackend};
+use lowdiff_util::crc::crc32;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -55,14 +57,88 @@ fn arb_grad(max_len: usize) -> impl Strategy<Value = CompressedGrad> {
     ]
 }
 
+fn entries_from(grads: Vec<CompressedGrad>, start: u64) -> Vec<DiffEntry> {
+    grads
+        .into_iter()
+        .enumerate()
+        .map(|(i, grad)| DiffEntry {
+            iteration: start + i as u64,
+            grad,
+        })
+        .collect()
+}
+
+/// A diff batch in the given value codec (v2 for f32, v3 quantized).
+fn encode_with(entries: &[DiffEntry], codec: &ValueCodec) -> Vec<u8> {
+    let mut buf = Vec::new();
+    codec::encode_diff_batch_into(
+        entries.iter().map(|e| (e.iteration, &e.grad)),
+        codec,
+        &mut buf,
+    );
+    buf
+}
+
+fn quantized(bits: u8) -> ValueCodec {
+    ValueCodec::Quantized(codec::QuantizedValues {
+        bits,
+        max_err: 0.0,
+        adaptive: false,
+        floor_bits: bits,
+    })
+}
+
+/// Append a fresh CRC so a crafted or mutated body reaches the parser.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Feed `bytes` to every storage-record decoder. Each must return `Ok` or
+/// `Err` — reaching the end of this function is the never-panic property.
+/// The diff decoder and the inspector walk the same grammar, so they must
+/// also agree on which bytes are valid.
+fn decode_everything(bytes: &[u8]) {
+    let _ = codec::decode_full_checkpoint(bytes);
+    let _ = reference::decode_model_state(bytes);
+    let decoded = codec::decode_diff_batch(bytes);
+    let inspected = codec::inspect_diff_batch(bytes);
+    assert_eq!(
+        decoded.is_ok(),
+        inspected.is_ok(),
+        "decode and inspect disagree: {:?} vs {:?}",
+        decoded.err(),
+        inspected.err()
+    );
+    let _ = stripe::decode_manifest(bytes);
+    let _ = GlobalManifest::decode(bytes);
+}
+
+fn global_manifest(seed: u64, ranks: usize) -> GlobalManifest {
+    GlobalManifest {
+        iteration: seed,
+        psi: seed.wrapping_mul(31) % 10_000,
+        num_chunks: 64,
+        shards: (0..ranks as u32)
+            .map(|rank| ShardSeal {
+                rank,
+                chunks: (rank..64).step_by(ranks.max(1)).collect(),
+                len: seed ^ u64::from(rank),
+                crc: rank.wrapping_mul(0x9E37_79B9),
+            })
+            .collect(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// decode ∘ encode = identity for model states.
     #[test]
     fn model_state_roundtrip(st in arb_state()) {
-        let bytes = codec::encode_model_state(&st);
-        let back = codec::decode_model_state(&bytes).unwrap();
+        let bytes = codec::encode_full_checkpoint(&st, &AuxView::NONE);
+        let back = codec::decode_full_checkpoint(&bytes).unwrap().state;
         prop_assert_eq!(st, back);
     }
 
@@ -73,11 +149,7 @@ proptest! {
         grads in prop::collection::vec(arb_grad(100), 0..6),
         start in 0u64..1000,
     ) {
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
-            .collect();
+        let entries = entries_from(grads, start);
         let bytes = codec::encode_diff_batch(&entries);
         prop_assert_eq!(codec::decode_diff_batch(&bytes).unwrap(), entries);
     }
@@ -89,12 +161,8 @@ proptest! {
         grads in prop::collection::vec(arb_grad(100), 0..6),
         start in 0u64..1000,
     ) {
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
-            .collect();
-        let v1 = codec::encode_diff_batch_v1(&entries);
+        let entries = entries_from(grads, start);
+        let v1 = reference::encode_diff_batch(&entries);
         prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
         let v2 = codec::encode_diff_batch(&entries);
         prop_assert_eq!(
@@ -103,64 +171,67 @@ proptest! {
         );
     }
 
-    /// `encode_*_into` with a dirty reused buffer is byte-identical to a
+    /// The reusing writers over a dirty buffer are byte-identical to a
     /// fresh encode: a longer previous encode never leaks a stale suffix.
+    /// The frame writer, filled from the state and sealed, reproduces the
+    /// streaming full-checkpoint writer.
     #[test]
     fn encode_into_never_leaks_stale_bytes(
         st in arb_state(),
         grads in prop::collection::vec(arb_grad(80), 0..5),
         junk in prop::collection::vec(0u8..=255, 0..4096),
     ) {
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: i as u64, grad })
-            .collect();
+        let entries = entries_from(grads, 0);
         let mut buf = junk.clone();
-        codec::encode_diff_batch_into(&entries, &mut buf);
+        codec::encode_diff_batch_into(
+            entries.iter().map(|e| (e.iteration, &e.grad)),
+            &ValueCodec::F32,
+            &mut buf,
+        );
         prop_assert_eq!(&buf, &codec::encode_diff_batch(&entries));
         let mut buf = junk;
-        codec::encode_model_state_into(&st, &mut buf);
-        prop_assert_eq!(&buf, &codec::encode_model_state(&st));
+        let psi = st.params.len();
+        let layout = codec::encode_full_frame_into(st.iteration, st.opt.t, psi, &AuxView::NONE, &mut buf);
+        for (off, xs) in [(layout.params_off, &st.params), (layout.m_off, &st.opt.m), (layout.v_off, &st.opt.v)] {
+            for (i, x) in xs.iter().enumerate() {
+                buf[off + 4 * i..off + 4 * i + 4].copy_from_slice(&x.to_le_bytes());
+            }
+        }
+        codec::seal_frame(&mut buf);
+        prop_assert_eq!(&buf, &codec::encode_full_checkpoint(&st, &AuxView::NONE));
     }
 
     /// Any single-byte corruption is detected (CRC or structural error) —
     /// decode never silently returns wrong data.
     #[test]
     fn corruption_never_silent(st in arb_state(), pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
-        let bytes = codec::encode_model_state(&st);
+        let bytes = codec::encode_full_checkpoint(&st, &AuxView::NONE);
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         let mut bad = bytes.clone();
         bad[pos] ^= flip;
-        match codec::decode_model_state(&bad) {
+        match codec::decode_full_checkpoint(&bad) {
             Err(_) => {} // detected: good
-            Ok(decoded) => prop_assert_eq!(decoded, st, "silent corruption!"),
+            Ok(decoded) => prop_assert_eq!(decoded.state, st, "silent corruption!"),
         }
     }
 
-    /// The bulk (memcpy) encoder must be byte-identical to the retained
-    /// per-element reference encoder — for v1 full checkpoints and for v1
-    /// diff batches of every representation mix (the reference module
-    /// predates the v2 layouts). This is what let the bulk rewrite ship
-    /// without a format version bump.
+    /// The bulk (memcpy) decoders read the retained per-element reference
+    /// encoder's v1 blobs — full checkpoints and diff batches of every
+    /// representation mix — back to the reference's input, and agree with
+    /// the per-element reference decoder. This is what let the bulk
+    /// rewrite ship without a format version bump.
     #[test]
     fn bulk_encoding_byte_identical_to_reference(
         st in arb_state(),
         grads in prop::collection::vec(arb_grad(80), 0..5),
     ) {
-        prop_assert_eq!(
-            codec::encode_model_state_v1(&st),
-            codec::reference::encode_model_state(&st)
-        );
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: i as u64, grad })
-            .collect();
-        prop_assert_eq!(
-            codec::encode_diff_batch_v1(&entries),
-            codec::reference::encode_diff_batch(&entries)
-        );
+        let v1 = reference::encode_model_state(&st);
+        let bulk = codec::decode_full_checkpoint(&v1).unwrap().state;
+        prop_assert_eq!(&bulk, &st);
+        prop_assert_eq!(bulk, reference::decode_model_state(&v1).unwrap());
+        let entries = entries_from(grads, 0);
+        let v1 = reference::encode_diff_batch(&entries);
+        prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries);
     }
 
     /// Legacy v1 full-checkpoint blobs keep decoding, flagged lossy; v2
@@ -172,7 +243,7 @@ proptest! {
         ratio in 0.001f64..1.0,
     ) {
         let rng_words = [rng_seed, rng_seed ^ 0xABCD, rng_seed.rotate_left(17), !rng_seed];
-        let v1 = codec::encode_model_state_v1(&st);
+        let v1 = reference::encode_model_state(&st);
         let fc = codec::decode_full_checkpoint(&v1).unwrap();
         prop_assert_eq!(&fc.state, &st);
         prop_assert!(fc.lossy, "v1 must be flagged lossy");
@@ -253,14 +324,7 @@ proptest! {
             iteration: start,
             grad: CompressedGrad::Sparse(SparseGrad::new(n, indices, values.clone())),
         }];
-        let q = codec::ValueCodec::Quantized(codec::QuantizedValues {
-            bits,
-            max_err: 0.0,
-            adaptive: false,
-            floor_bits: bits,
-        });
-        let mut buf = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut buf);
+        let buf = encode_with(&entries, &quantized(bits));
         let back = codec::decode_diff_batch(&buf).unwrap();
         let got = &back[0].grad.as_sparse().unwrap().values;
 
@@ -288,18 +352,10 @@ proptest! {
         grads in prop::collection::vec(arb_grad(100), 1..5),
         start in 0u64..1000,
     ) {
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: start + i as u64, grad })
-            .collect();
-        let v1 = codec::encode_diff_batch_v1(&entries);
+        let entries = entries_from(grads, start);
+        let v1 = reference::encode_diff_batch(&entries);
         let v2 = codec::encode_diff_batch(&entries);
-        let q = codec::ValueCodec::Quantized(codec::QuantizedValues {
-            bits: 8, max_err: 0.0, adaptive: false, floor_bits: 8,
-        });
-        let mut v3 = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut v3);
+        let v3 = encode_with(&entries, &quantized(8));
         prop_assert_eq!(codec::decode_diff_batch(&v1).unwrap(), entries.clone());
         prop_assert_eq!(codec::decode_diff_batch(&v2).unwrap(), entries.clone());
         let d3 = codec::decode_diff_batch(&v3).unwrap();
@@ -330,19 +386,11 @@ proptest! {
         w in 0u8..3,
     ) {
         let bits = [4u8, 8, 16][w as usize];
-        let entries: Vec<DiffEntry> = grads
-            .into_iter()
-            .enumerate()
-            .map(|(i, grad)| DiffEntry { iteration: i as u64, grad })
-            .collect();
-        let q = codec::ValueCodec::Quantized(codec::QuantizedValues {
-            bits, max_err: 0.0, adaptive: false, floor_bits: bits,
-        });
+        let entries = entries_from(grads, 0);
+        let q = quantized(bits);
         let mut buf = junk;
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut buf);
-        let mut fresh = Vec::new();
-        codec::encode_diff_batch_cfg_into(&entries, &q, &mut fresh);
-        prop_assert_eq!(buf, fresh);
+        codec::encode_diff_batch_into(entries.iter().map(|e| (e.iteration, &e.grad)), &q, &mut buf);
+        prop_assert_eq!(buf, encode_with(&entries, &q));
     }
 
     /// Store discovery: the latest valid full checkpoint is always the one
@@ -369,4 +417,166 @@ proptest! {
         let got = store.latest_valid_full().unwrap().map(|s| s.iteration);
         prop_assert_eq!(got, expected);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Never panic on arbitrary bytes: raw, and behind each record's magic
+    /// and a plausible version, re-sealed so the CRC lets the parser in.
+    #[test]
+    fn decoders_never_panic_on_arbitrary_bytes(
+        body in prop::collection::vec(0u8..=255, 0..200),
+        magic in 0usize..4,
+        version in 0u16..5,
+    ) {
+        decode_everything(&body);
+        decode_everything(&seal(body.clone()));
+        let mut framed = [b"LDFC", b"LDDB", b"LDSM", b"LDGM"][magic].to_vec();
+        framed.extend_from_slice(&version.to_le_bytes());
+        framed.extend_from_slice(&body);
+        decode_everything(&seal(framed));
+    }
+
+    /// Never panic on valid LDFC/LDDB/LDSM/LDGM blobs with random bit
+    /// flips and a random truncation, re-sealed with a fresh CRC so the
+    /// mutation reaches the parser instead of dying at the checksum.
+    #[test]
+    fn decoders_never_panic_on_mutated_blobs(
+        kind in 0usize..5,
+        st in arb_state(),
+        grads in prop::collection::vec(arb_grad(100), 0..4),
+        seed in 0u64..u64::MAX,
+        flips in prop::collection::vec((0.0f64..1.0, 0u8..8), 0..6),
+        cut in 0.0f64..1.0,
+        truncate in prop::bool::ANY,
+    ) {
+        let entries = entries_from(grads, seed % 1000);
+        let mut blob = match kind {
+            0 => {
+                let aux = lowdiff_compress::AuxState {
+                    residual: Some(st.params.clone()),
+                    compressor: Some(lowdiff_compress::CompressorCfg::topk(0.01)),
+                    rng: Some([seed; 4]),
+                    quant: None,
+                };
+                codec::encode_full_checkpoint(&st, &aux.view())
+            }
+            1 => reference::encode_diff_batch(&entries),
+            2 => encode_with(&entries, &quantized([4, 8, 16][(seed % 3) as usize])),
+            3 => {
+                let data = vec![7u8; (seed % 5000) as usize];
+                stripe::encode_manifest(&StripeManifest::describe(&data, 1 + (seed % 4) as usize))
+            }
+            _ => global_manifest(seed, 1 + (seed % 3) as usize).encode(),
+        };
+        blob.truncate(blob.len() - 4);
+        for (at, bit) in flips {
+            let i = ((blob.len() - 1) as f64 * at) as usize;
+            blob[i] ^= 1 << bit;
+        }
+        if truncate {
+            blob.truncate((blob.len() as f64 * cut) as usize);
+        }
+        decode_everything(&seal(blob));
+    }
+}
+
+/// A CRC-valid LDDB header (magic, version, count) ahead of `rest`.
+fn diff_blob(version: u16, count: u32, rest: &[u8]) -> Vec<u8> {
+    let mut body = b"LDDB".to_vec();
+    body.extend_from_slice(&version.to_le_bytes());
+    body.extend_from_slice(&count.to_le_bytes());
+    body.extend_from_slice(rest);
+    seal(body)
+}
+
+/// One diff entry's prefix: iteration, tag, and a `u64` length field.
+fn entry_head(tag: u8, len: u64) -> Vec<u8> {
+    let mut e = 5u64.to_le_bytes().to_vec();
+    e.push(tag);
+    e.extend_from_slice(&len.to_le_bytes());
+    e
+}
+
+/// CRC-valid blobs whose length fields claim far more than the blob holds.
+/// Each must come back as `Err` from every decoder that reads its kind,
+/// without attempting the allocation the field asks for (the first three
+/// would request 274 GB, 17 GB and 103 GB) and without overflowing a
+/// length product.
+#[test]
+fn crafted_length_fields_fail_cleanly_without_allocating() {
+    fn assert_diff_rejected(blob: &[u8], what: &str) {
+        assert!(
+            matches!(
+                codec::decode_diff_batch(blob),
+                Err(codec::CodecError::Corrupt(_))
+            ),
+            "{what}"
+        );
+        assert!(
+            matches!(
+                codec::inspect_diff_batch(blob),
+                Err(codec::CodecError::Corrupt(_))
+            ),
+            "{what}"
+        );
+    }
+
+    // LDDB v2, count = u32::MAX, no entries.
+    let blob = diff_blob(2, u32::MAX, &[]);
+    assert_eq!(blob.len(), 14);
+    assert_diff_rejected(&blob, "count = u32::MAX");
+
+    // LDDB v2, one sparse entry with nnz = u32::MAX.
+    let mut rest = entry_head(0, 100);
+    rest.extend_from_slice(&u32::MAX.to_le_bytes());
+    let blob = diff_blob(2, 1, &rest);
+    assert_eq!(blob.len(), 35);
+    assert_diff_rejected(&blob, "nnz = u32::MAX");
+
+    // LDSM manifest, stripe count = u32::MAX.
+    let mut body = b"LDSM".to_vec();
+    body.extend_from_slice(&1u16.to_le_bytes());
+    body.extend_from_slice(&1000u64.to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.extend_from_slice(&u32::MAX.to_le_bytes());
+    let blob = seal(body);
+    assert_eq!(blob.len(), 26);
+    assert!(matches!(
+        stripe::decode_manifest(&blob),
+        Err(codec::CodecError::Corrupt(_))
+    ));
+
+    // LDFC v2, psi = 2^62: psi × 4 overflows usize.
+    let mut body = b"LDFC".to_vec();
+    body.extend_from_slice(&2u16.to_le_bytes());
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&(1u64 << 62).to_le_bytes());
+    body.extend_from_slice(&7u64.to_le_bytes());
+    let blob = seal(body);
+    assert_eq!(blob.len(), 34);
+    assert!(matches!(
+        codec::decode_full_checkpoint(&blob),
+        Err(codec::CodecError::Corrupt(_))
+    ));
+    assert!(reference::decode_model_state(&blob).is_err());
+
+    // LDDB v3, one dense entry with n = 2^62.
+    let blob = diff_blob(3, 1, &entry_head(2, 1 << 62));
+    assert_eq!(blob.len(), 31);
+    assert_diff_rejected(&blob, "v3 dense n = 2^62");
+
+    // LDGM, one shard claiming 2^24 chunk ids with 12 bytes left.
+    let mut body = b"LDGM".to_vec();
+    body.extend_from_slice(&1u16.to_le_bytes());
+    body.extend_from_slice(&40u64.to_le_bytes()); // iteration
+    body.extend_from_slice(&1000u64.to_le_bytes()); // psi
+    body.extend_from_slice(&64u32.to_le_bytes()); // num_chunks
+    body.extend_from_slice(&1u32.to_le_bytes()); // shard count
+    body.extend_from_slice(&0u32.to_le_bytes()); // rank
+    body.extend_from_slice(&(1u32 << 24).to_le_bytes()); // chunk count
+    body.extend_from_slice(&[0; 12]);
+    let err = GlobalManifest::decode(&seal(body)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }

@@ -7,12 +7,14 @@ use lowdiff::lowdiff::{LowDiffConfig, LowDiffStrategy};
 use lowdiff::recovery::recover_serial;
 use lowdiff::strategy::{CheckpointStrategy, StrategyStats};
 use lowdiff::trainer::{Trainer, TrainerConfig};
-use lowdiff::AuxView;
+use lowdiff::{AuxView, NoCheckpoint};
+use lowdiff_compress::{CompressedGrad, SparseGrad};
 use lowdiff_model::builders::mlp;
 use lowdiff_model::data::Regression;
 use lowdiff_model::loss::mse;
 use lowdiff_model::Network;
 use lowdiff_optim::{Adam, ModelState};
+use lowdiff_storage::codec::DiffEntry;
 use lowdiff_storage::{
     CheckpointStore, FaultConfig, FaultyBackend, MemoryBackend, RetryPolicy, StorageBackend,
 };
@@ -147,6 +149,77 @@ fn torn_writes_recovery_falls_back_to_intact_blobs() {
     assert!(rec.params.iter().all(|p| p.is_finite()));
     let fulls = store.full_iterations().unwrap();
     assert!(rec.iteration >= *fulls.first().unwrap());
+}
+
+/// A diff batch that passes its CRC but claims `u32::MAX` entries in a
+/// 14-byte blob: decoding must fail (not abort on a 274 GB allocation), so
+/// the chain ends at the valid prefix and resume replays only that.
+fn crc_valid_huge_count_batch() -> Vec<u8> {
+    let mut blob = b"LDDB".to_vec();
+    blob.extend_from_slice(&2u16.to_le_bytes());
+    blob.extend_from_slice(&u32::MAX.to_le_bytes());
+    let crc = lowdiff_util::crc::crc32(&blob);
+    blob.extend_from_slice(&crc.to_le_bytes());
+    blob
+}
+
+#[test]
+fn malformed_crc_valid_batch_ends_the_chain_at_the_valid_prefix() {
+    let psi = mlp(&DIMS, 7).num_params();
+    let mut full = ModelState::new(vec![0.25; psi]);
+    full.iteration = 10;
+    let grad = |k: u32| {
+        let idx: Vec<u32> = (k..psi as u32).step_by(5).collect();
+        let vals = idx.iter().map(|&i| i as f32 * 1e-3).collect();
+        CompressedGrad::Sparse(SparseGrad::new(psi, idx, vals))
+    };
+    let valid = [
+        DiffEntry {
+            iteration: 10,
+            grad: grad(0),
+        },
+        DiffEntry {
+            iteration: 11,
+            grad: grad(1),
+        },
+    ];
+    let fill = |with_bad_tail: bool| {
+        let store = CheckpointStore::new(Arc::new(MemoryBackend::new()));
+        store.save_full(&full).unwrap();
+        store.save_diff_batch(&valid).unwrap();
+        if with_bad_tail {
+            store
+                .put_diff_batch_bytes(12, 13, &crc_valid_huge_count_batch())
+                .unwrap();
+        }
+        store
+    };
+    let (store, prefix_only) = (fill(true), fill(false));
+    assert_eq!(store.diff_chain_from(10).unwrap(), valid);
+
+    let cfg = TrainerConfig {
+        compress_ratio: Some(0.2),
+        error_feedback: false,
+        ..TrainerConfig::default()
+    };
+    let resume = |store: &CheckpointStore| {
+        let net = mlp(&DIMS, 7);
+        Trainer::resume(
+            net,
+            Adam::default(),
+            NoCheckpoint::new(),
+            cfg.clone(),
+            store,
+        )
+        .unwrap()
+        .expect("the valid full must anchor the resume")
+    };
+    let (tr, rep) = resume(&store);
+    assert_eq!(rep.full_iteration, 10);
+    assert_eq!(rep.replayed, 2, "replay stops before the malformed batch");
+    assert_eq!(rep.resumed_iteration, 12);
+    let (want, _) = resume(&prefix_only);
+    assert_eq!(tr.state(), want.state());
 }
 
 #[test]
