@@ -4,7 +4,7 @@
 //! Each benchmark times the retained pre-optimization reference against the
 //! shipping implementation on the same ≥16M-element buffers, so the reported
 //! speedups are algorithmic (bulk memcpy codec, slicing-by-8 CRC, chunked
-//! reduce-scatter, sharded selection) and reproducible on any host — they do
+//! reduce-scatter, radix selection) and reproducible on any host — they do
 //! not depend on core count, though the parallel kernels additionally scale
 //! with threads where cores exist.
 //!
@@ -187,7 +187,7 @@ fn main() {
         });
     }
 
-    // --- Top-K selection (sharded vs single-pass) --------------------------
+    // --- Top-K selection (radix vs comparator) -----------------------------
     {
         let k = (elems / 100).max(1); // the paper's rho = 0.01
         let base = time_best(reps, || TopK::select_serial(&grad, k));

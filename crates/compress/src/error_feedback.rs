@@ -38,9 +38,10 @@ impl<C: Compressor> ErrorFeedback<C> {
     /// Compensate, compress, and update the residual.
     pub fn compress(&mut self, grad: &[f32]) -> CompressedGrad {
         assert_eq!(grad.len(), self.residual.len(), "gradient length changed");
-        // acc = grad + residual, into the reused scratch.
-        self.acc.copy_from_slice(grad);
-        ops::add_assign(&mut self.acc, &self.residual);
+        // acc = grad + residual, in one pass into the reused scratch.
+        for ((a, &g), &r) in self.acc.iter_mut().zip(grad).zip(&self.residual) {
+            *a = g + r;
+        }
         let sent = self.inner.compress(&self.acc);
         // residual = acc − decompress(sent). A sparse handle decompresses to
         // acc's own values at the sent coordinates and 0.0 elsewhere, and

@@ -1,8 +1,9 @@
 //! Sparsification compressors: Top-K, Random-K, Threshold.
 //!
-//! Top-K with ρ = 0.01 is the paper's default (§6.1). Selection uses
-//! `select_nth_unstable` on |value| — O(n) expected, no full sort — and
-//! deterministic tie-breaking by index so runs are replayable.
+//! Top-K with ρ = 0.01 is the paper's default (§6.1). Selection is an
+//! exact radix select on the bits of |value|: O(n) in at most four passes,
+//! no index buffer and no comparator, with ties broken toward the lower
+//! index so runs are replayable.
 
 use crate::grad::{CompressedGrad, SparseGrad};
 use crate::Compressor;
@@ -42,17 +43,23 @@ impl TopK {
         Self { ratio }
     }
 
-    /// Core selection, exposed for tests: returns sorted indices of the k
-    /// largest-|v| entries, ties broken toward lower index.
+    /// Core selection, exposed for tests: returns the ascending indices of
+    /// the k largest-|v| entries.
     ///
-    /// Large inputs are selected in parallel over fixed shards: each shard
-    /// keeps its local top-`min(k, shard_len)` candidates, and the exact
-    /// top-k is selected from the candidate pool. Because the comparison is
-    /// a strict total order — bigger |v| first, then smaller index — every
-    /// global top-k element is necessarily in its shard's local top-k, so
-    /// the sharded result **equals** the serial one for any shard layout;
-    /// shard boundaries are fixed by the input length alone, never by the
-    /// thread count.
+    /// The order is `|v|.total_cmp`, then lower index first: −0.0 and +0.0
+    /// tie, and NaN (of either sign) ranks above +∞, so every input —
+    /// NaN included — has exactly one answer. That order is the integer
+    /// order of the key `|v|.to_bits()` (the sign bit cleared), so the
+    /// selection is an exact radix select on that key: up to three
+    /// histogram passes (11, 11 and 9 bits) fix the k-th largest key T and
+    /// how many of its ties fit, then one pass keeps every key above T plus
+    /// the lowest-indexed ties, already in ascending order.
+    ///
+    /// On a multi-thread pool, large inputs run the same passes in
+    /// parallel over fixed shards whose boundaries depend on the input
+    /// length alone. Histograms merge by integer sums and the tie quota is
+    /// handed out in shard order — which is index order — so the result is
+    /// the one defined above for any shard layout and any pool width.
     pub fn select(grad: &[f32], k: usize) -> Vec<u32> {
         let n = grad.len();
         let k = k.min(n);
@@ -62,51 +69,65 @@ impl TopK {
         if k == n {
             return (0..n as u32).collect();
         }
-        // Partial selection on (|v|, index) pairs; order: bigger |v| first,
-        // then smaller index first (deterministic).
-        let cmp = |&a: &u32, &b: &u32| {
-            let (va, vb) = (grad[a as usize].abs(), grad[b as usize].abs());
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        };
 
-        /// Below this length the per-shard pass isn't worth the fan-out.
+        /// Below this length the per-shard passes aren't worth the fan-out.
         const PAR_MIN: usize = 1 << 16;
-        // The shard pass does extra candidate work to buy parallelism; on a
-        // single-thread pool it's pure overhead. Either path returns the
-        // SAME indices (see above), so gating on the pool width cannot
-        // affect results — only speed.
-        let par = n >= PAR_MIN && rayon::pool::current_num_threads() > 1;
-        let mut idx: Vec<u32> = if par {
-            let shards = chunk_ranges(n, rayon::MAX_CHUNKS);
-            shards
+        if n < PAR_MIN || rayon::pool::current_num_threads() == 1 {
+            let (t, ties) = kth_key(k, |digit, prefix, hist| {
+                histogram(grad, digit, prefix, hist)
+            });
+            let mut out = Vec::with_capacity(k);
+            emit(grad, 0, t, ties, &mut out);
+            return out;
+        }
+
+        let shards = chunk_ranges(n, rayon::MAX_CHUNKS);
+        // Per-shard histograms of the latest pass. Ties are left to split
+        // only after the last digit's pass, whose entry at T's low digit
+        // counts each shard's keys equal to T.
+        let mut local: Vec<Hist> = Vec::new();
+        let (t, ties) = kth_key(k, |digit, prefix, hist| {
+            local = shards
                 .par_iter()
                 .with_min_len(1)
                 .map(|r| {
-                    let mut local: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                    let kk = k.min(local.len());
-                    if kk < local.len() {
-                        local.select_nth_unstable_by(kk - 1, cmp);
-                        local.truncate(kk);
-                    }
-                    local
+                    let mut h = [0; RADIX];
+                    histogram(&grad[r.clone()], digit, prefix, &mut h);
+                    h
                 })
-                .collect::<Vec<Vec<u32>>>()
-                .concat()
-        } else {
-            (0..n as u32).collect()
-        };
-        if k < idx.len() {
-            idx.select_nth_unstable_by(k - 1, cmp);
-            idx.truncate(k);
-        }
-        idx.sort_unstable();
-        idx
+                .collect();
+            for h in &local {
+                for (a, b) in hist.iter_mut().zip(h) {
+                    *a += b;
+                }
+            }
+        });
+        let tie_digit = (t & LAST_DIGIT_MASK) as usize;
+        let mut left = ties;
+        let quotas: Vec<usize> = local
+            .iter()
+            .map(|h| {
+                let q = left.min(h[tie_digit] as usize);
+                left -= q;
+                q
+            })
+            .collect();
+        shards
+            .par_iter()
+            .with_min_len(1)
+            .zip(quotas.par_iter())
+            .map(|(r, &quota)| {
+                let mut out = Vec::new();
+                emit(&grad[r.clone()], r.start, t, quota, &mut out);
+                out
+            })
+            .collect::<Vec<Vec<u32>>>()
+            .concat()
     }
 
-    /// Single-pass serial selection — the pre-sharding implementation, kept
-    /// as the equivalence oracle for tests and the `bench_hotpath` baseline.
+    /// Comparison-based selection — the order [`select`](Self::select)
+    /// defines, spelt out as a comparator over an index vector. Kept as the
+    /// equivalence oracle for tests and the `bench_hotpath` baseline.
     #[doc(hidden)]
     pub fn select_serial(grad: &[f32], k: usize) -> Vec<u32> {
         let n = grad.len();
@@ -120,14 +141,88 @@ impl TopK {
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let cmp = |&a: &u32, &b: &u32| {
             let (va, vb) = (grad[a as usize].abs(), grad[b as usize].abs());
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
+            vb.total_cmp(&va).then(a.cmp(&b))
         };
         idx.select_nth_unstable_by(k - 1, cmp);
         let mut kept = idx[..k].to_vec();
         kept.sort_unstable();
         kept
+    }
+}
+
+/// The radix key of `|v|`: the bits with the sign cleared. The bits of a
+/// non-negative f32 order like [`f32::total_cmp`], so −0.0 and +0.0 share
+/// key 0 and NaN keys lie above +∞'s.
+#[inline]
+fn abs_key(v: f32) -> u32 {
+    v.to_bits() & 0x7FFF_FFFF
+}
+
+/// The digits of the 31-bit key, most significant first, as
+/// `(shift, width)`. 11 bits at most keeps a histogram at 8 KB.
+const DIGITS: [(u32, u32); 3] = [(20, 11), (9, 11), (0, 9)];
+const RADIX: usize = 1 << 11;
+const LAST_DIGIT_MASK: u32 = (1 << DIGITS[2].1) - 1;
+type Hist = [u32; RADIX];
+
+/// Count into `hist` the digit `(shift, width)` of every key in `grad`
+/// whose bits above that digit equal `prefix`.
+fn histogram(grad: &[f32], (shift, width): (u32, u32), prefix: u32, hist: &mut Hist) {
+    let top = shift + width;
+    if top == 31 {
+        // The first digit: every key matches the empty prefix.
+        for &v in grad {
+            hist[(abs_key(v) >> shift) as usize] += 1;
+        }
+        return;
+    }
+    let mask = (1 << width) - 1;
+    for &v in grad {
+        let key = abs_key(v);
+        if key >> top == prefix {
+            hist[((key >> shift) & mask) as usize] += 1;
+        }
+    }
+}
+
+/// The k-th largest key T and how many keys equal to T the top k keep.
+/// `hist_of(digit, prefix, hist)` must count, over the whole input, the
+/// given digit of the keys whose higher bits equal `prefix`; each digit in
+/// turn narrows the prefix toward T.
+fn kth_key(k: usize, mut hist_of: impl FnMut((u32, u32), u32, &mut Hist)) -> (u32, usize) {
+    let mut prefix = 0;
+    // Keys still to take among those matching `prefix`; always ≥ 1 and
+    // ≤ their number, so the downward walk stops inside the histogram.
+    let mut need = k;
+    for (shift, width) in DIGITS {
+        let mut hist = [0; RADIX];
+        hist_of((shift, width), prefix, &mut hist);
+        let mut d = (1 << width) - 1;
+        while (hist[d] as usize) < need {
+            need -= hist[d] as usize;
+            d -= 1;
+        }
+        prefix = (prefix << width) | d as u32;
+        if hist[d] as usize == need {
+            // The whole bucket is kept: every key from `prefix << shift`
+            // up, with no ties to split (and `prefix > 0`, since k < n).
+            return ((prefix << shift) - 1, 0);
+        }
+    }
+    (prefix, need)
+}
+
+/// Push `base + i` for every `grad[i]` whose key is above `t`, and for the
+/// first `ties` whose key equals `t`.
+fn emit(grad: &[f32], base: usize, t: u32, mut ties: usize, out: &mut Vec<u32>) {
+    for (i, &v) in grad.iter().enumerate() {
+        let key = abs_key(v);
+        // One mostly-untaken branch per element; the tie test runs only
+        // for the few keys at or above `t`.
+        if key >= t && (key > t || ties > 0) {
+            ties -= usize::from(key == t);
+            out.push((base + i) as u32);
+        }
     }
 }
 
@@ -308,10 +403,19 @@ mod tests {
         assert_eq!(a1.as_sparse().unwrap().nnz(), 50);
     }
 
+    /// `select` at pool widths 1, 2 and 4 returns the comparator oracle's
+    /// indices.
+    fn assert_select_matches_serial(g: &[f32], k: usize) {
+        let want = TopK::select_serial(g, k);
+        for threads in [1, 2, 4] {
+            let got = rayon::pool::with_num_threads(threads, || TopK::select(g, k));
+            assert_eq!(got, want, "n={} k={k} threads={threads}", g.len());
+        }
+    }
+
     #[test]
     fn sharded_select_equals_serial_on_large_input() {
-        // Force the parallel path (n ≥ PAR_MIN) under a multi-thread pool
-        // and compare against the single-pass serial oracle.
+        // n ≥ PAR_MIN, so pool widths 2 and 4 take the sharded path.
         let mut rng = DetRng::new(31);
         let n = 1 << 17;
         let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
@@ -319,10 +423,50 @@ mod tests {
         for i in (0..n).step_by(97) {
             g[i] = 0.5;
         }
-        for k in [1usize, 100, n / 100, n / 2, n - 1] {
-            let par = rayon::pool::with_num_threads(4, || TopK::select(&g, k));
-            let ser = TopK::select_serial(&g, k);
-            assert_eq!(par, ser, "k={k}");
+        for k in [1usize, 100, n / 100, n / 2, n - 1, n] {
+            assert_select_matches_serial(&g, k);
+        }
+    }
+
+    #[test]
+    fn select_is_total_over_nan_inf_zero_and_subnormals() {
+        // Every 1000th value NaN: `partial_cmp(..).unwrap_or(Equal)` is no
+        // total order on this input, and a comparator select built on it
+        // kept a different index set at each pool width.
+        let mut rng = DetRng::new(5);
+        let n = 200_000;
+        let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
+        for i in (0..n).step_by(1000) {
+            g[i] = f32::NAN;
+        }
+        assert_select_matches_serial(&g, 2000);
+        // NaN ranks above every number: the top 200 are exactly the NaNs.
+        let nans: Vec<u32> = (0..n as u32).step_by(1000).collect();
+        assert_eq!(TopK::select(&g, nans.len()), nans);
+
+        // Both NaN signs, ±inf, ±0 and subnormals mixed into the normals.
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE,
+        ];
+        for (i, x) in g.iter_mut().enumerate().step_by(7) {
+            *x = specials[(i / 7) % specials.len()];
+        }
+        for k in [1, 100, 2000, n / 7, n / 2, n - 1] {
+            assert_select_matches_serial(&g, k);
+        }
+        // Scaled by 1e-30, most normals fall to subnormals or ±0.
+        let tiny: Vec<f32> = g.iter().map(|&x| x * 1e-30).collect();
+        for k in [2000, n / 2] {
+            assert_select_matches_serial(&tiny, k);
         }
     }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the compression substrate.
 
+use lowdiff_compress::sparsify::k_for_ratio;
 use lowdiff_compress::{Compressor, ErrorFeedback, RandomK, SparseGrad, TopK, UniformQuant};
 use proptest::prelude::*;
 
@@ -109,25 +110,63 @@ proptest! {
         }
     }
 
-    /// The sharded parallel Top-K selection returns exactly the serial
-    /// single-pass result — for any values (including ties) and any k —
-    /// under a forced multi-thread pool.
+    /// The radix Top-K returns exactly the comparator oracle's indices at
+    /// pool widths 1, 2 and 4, on both sides of the parallel threshold
+    /// (1 << 16), for k ∈ {1, round(ρn), n−1, n, a random k, a k whose
+    /// threshold falls inside a run of ties}.
     #[test]
     fn sharded_select_equals_serial(
         seed in 0u64..1000,
-        dup_every in 2usize..50,
+        shape in 0usize..4,
+        above_par in any::<bool>(),
+        k_pick in 0usize..6,
         k_frac in 0.0f64..1.0,
     ) {
-        // Large enough to cross the parallel threshold (1<<16).
-        let n = (1 << 16) + 123;
+        let n = if above_par { (1 << 16) + 123 } else { (1 << 16) - 1000 };
         let mut rng = lowdiff_util::DetRng::new(seed);
         let mut g: Vec<f32> = (0..n).map(|_| rng.normal() as f32).collect();
-        for i in (0..n).step_by(dup_every) {
-            g[i] = 1.25; // ties spanning shard boundaries
+        // Three shards long (a shard is n/64), starting mid-shard.
+        let run = n / 3 + 17..n / 3 + 17 + 3 * n / 64;
+        match shape {
+            // Ties scattered across every shard.
+            0 => {
+                for i in (0..n).step_by(2 + (seed % 48) as usize) {
+                    g[i] = 1.25;
+                }
+            }
+            // All-equal magnitudes, signs mixed.
+            1 => {
+                for (i, x) in g.iter_mut().enumerate() {
+                    *x = if i % 3 == 0 { -0.75 } else { 0.75 };
+                }
+            }
+            // One run of ties straddling shard boundaries.
+            2 => g[run.clone()].fill(1.25),
+            // One shared top digit: only the low 11 mantissa bits (the
+            // middle digit's lowest two and the last digit) and the sign
+            // differ, so every radix digit decides the result.
+            _ => {
+                for x in g.iter_mut() {
+                    let r = rng.next_u64() as u32;
+                    *x = f32::from_bits(0x3F80_0000 | (r & 0x7FF) | (r & 0x800) << 20);
+                }
+            }
         }
-        let k = ((n as f64 * k_frac) as usize).clamp(1, n);
-        let par = rayon::pool::with_num_threads(4, || TopK::select(&g, k));
-        prop_assert_eq!(par, TopK::select_serial(&g, k));
+        let above = g.iter().filter(|x| x.abs() > 1.25).count();
+        let k = match k_pick {
+            0 => 1,
+            1 => k_for_ratio(n, 0.01),
+            2 => n - 1,
+            3 => n,
+            // Shape 2's threshold lands mid-run: half the run is kept.
+            4 => above + run.len() / 2,
+            _ => ((n as f64 * k_frac) as usize).clamp(1, n),
+        };
+        let want = TopK::select_serial(&g, k);
+        for threads in [1, 2, 4] {
+            let got = rayon::pool::with_num_threads(threads, || TopK::select(&g, k));
+            prop_assert_eq!(&got, &want);
+        }
     }
 
     /// ThresholdK::ratio reports the observed density of the latest call.
